@@ -31,20 +31,6 @@ TOL_EXACT = 1e-12  # absolute tolerance for "exact" algebraic identities
 _NAME_RE = re.compile(r"^(?:[JXP]_[123]|I|T)$")
 
 
-@dataclass(frozen=True)
-class GeneratorId:
-    """A named basis generator and its position in the table."""
-
-    name: str
-    index: int
-
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise ValidationError(f"unknown generator name {self.name!r}")
-        if self.index < 0:
-            raise ValidationError("generator index must be nonnegative")
-
-
 class StructureTable:
     """Finite-dimensional Lie algebra given by named generators and the
     nonzero brackets [G_a, G_b] = sum_e c_ab^e G_e.
@@ -58,8 +44,9 @@ class StructureTable:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValidationError("generator names must be unique")
-        for i, name in enumerate(names):
-            GeneratorId(name, i)  # validates the name
+        for name in names:
+            if not _NAME_RE.match(name):
+                raise ValidationError(f"unknown generator name {name!r}")
         self.names = names
         self.dim = len(names)
         self._index = {name: i for i, name in enumerate(names)}
@@ -89,8 +76,6 @@ class StructureTable:
                 self._c[key] = signed
 
     def _resolve(self, g):
-        if isinstance(g, GeneratorId):
-            g = g.name
         if isinstance(g, str):
             if g not in self._index:
                 raise ValidationError(f"unknown generator {g!r}")
@@ -102,10 +87,6 @@ class StructureTable:
 
     def index(self, name):
         return self._resolve(name)
-
-    @property
-    def generator_ids(self):
-        return tuple(GeneratorId(n, i) for i, n in enumerate(self.names))
 
     def bracket_indices(self, ia, ib):
         """Bracket coefficients as an index -> complex dict."""

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -86,98 +87,140 @@ def parse_config_file(path):
     return out
 
 
-# Flag schema per subcommand: dest -> (type converter, default).
+def _floats(text):
+    return [float(v) for v in str(text).split(",")]
+
+
+def _bool(text):
+    key = str(text).lower()
+    if key not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
+    return key in ("1", "true", "yes")
+
+
+class _Flag(NamedTuple):
+    """One flag's declaration.  conv converts command-line and config-file
+    text alike; a bool default makes a --flag/--no-flag pair."""
+
+    conv: Callable
+    default: object
+    choices: tuple | None = None
+    help: str | None = None
+
+
+# Flags per subcommand, keyed by dest; the flag is --dest with "_" -> "-".
 _COMMON = {
-    "outdir": (str, "."),
-    "seed": (int, 0),
-    "format": (str, "csv"),
+    "outdir": _Flag(str, ".", help="output directory "
+                    "(env GALQ_OUTDIR overrides the default)"),
+    "seed": _Flag(int, 0, help="seed for randomized checks"),
+    "format": _Flag(str, "csv", ("csv", "json"),
+                    "data file format (default csv)"),
 }
 
 _SCHEMAS = {
     "algebra_verify": {
-        "k": (lambda s: [float(v) for v in str(s).split(",")], [10.0]),
-        "tol": (float, 1e-12),
-        "table": (str, ""),
+        "k": _Flag(_floats, [10.0], help="comma-separated contraction scales"),
+        "tol": _Flag(float, 1e-12, help="residual tolerance"),
+        "table": _Flag(str, "", help="verify a serialized table file instead"),
     },
     "coset_orbit": {
-        "coset": (str, "phase"),
-        "steps": (int, 20),
-        "dt": (float, 0.1),
-        "point": (str, ""),
-        "b": (float, 0.0),
-        "v": (str, "0,0,0"),
-        "a": (str, "0,0,0"),
-        "rot": (str, "0,0,0"),
-        "pbar": (str, "0,0,0"),
-        "xbar": (str, "0,0,0"),
-        "thetabar": (float, 0.0),
-        "omega": (str, "0,0,0"),
+        "coset": _Flag(str, "phase", ("spacetime", "config", "phase")),
+        "steps": _Flag(int, 20),
+        "dt": _Flag(float, 0.1),
+        "point": _Flag(str, "", help="comma-separated start coordinates"),
+        "b": _Flag(float, 0.0, help="time translation rate"),
+        "v": _Flag(str, "0,0,0", help="boost rate vx,vy,vz"),
+        "a": _Flag(str, "0,0,0", help="translation rate ax,ay,az"),
+        "rot": _Flag(str, "0,0,0", help="rotation rate wx,wy,wz (spacetime)"),
+        "omega": _Flag(str, "0,0,0",
+                       help="rotation rate wx,wy,wz (config/phase)"),
+        "pbar": _Flag(str, "0,0,0", help="momentum translation rate"),
+        "xbar": _Flag(str, "0,0,0", help="position translation rate"),
+        "thetabar": _Flag(float, 0.0, help="phase rate"),
     },
     "coherent_overlap": {
-        "n_levels": (int, 128),
-        "hbar": (float, 1.0),
-        "p1": (float, 0.0),
-        "x1": (float, 0.0),
-        "grid_min": (float, -2.0),
-        "grid_max": (float, 2.0),
-        "grid_points": (int, 9),
-        "check_numeric": (lambda s: str(s).lower() in ("1", "true", "yes"), True),
-        "tol": (float, 1e-8),
-        "residual_scan": (str, ""),
-        "residual_step": (float, 0.25),
-        "residual_levels": (int, 16),
+        "n_levels": _Flag(int, 128),
+        "hbar": _Flag(float, 1.0),
+        "p1": _Flag(float, 0.0),
+        "x1": _Flag(float, 0.0),
+        "grid_min": _Flag(float, -2.0),
+        "grid_max": _Flag(float, 2.0),
+        "grid_points": _Flag(int, 9),
+        "check_numeric": _Flag(_bool, True),
+        "tol": _Flag(float, 1e-8),
+        "residual_scan": _Flag(str, "", help="comma-separated label radii for "
+                               "an overcompleteness residual scan"),
+        "residual_step": _Flag(float, 0.25),
+        "residual_levels": _Flag(int, 16),
     },
     "evolve": {
-        "kind": (str, "harmonic"),
-        "lam": (float, 0.1),
-        "n_levels": (int, 32),
-        "t_final": (float, 10.0),
-        "dt": (float, 1e-3),
-        "method": (str, "rk4"),
-        "x0": (float, 1.0),
-        "p0": (float, 0.5),
-        "store_every": (int, 100),
-        "tol": (float, 1e-6),
-        "hamiltonian_file": (str, ""),
+        "kind": _Flag(str, "harmonic", fock.HAMILTONIAN_KINDS),
+        "lam": _Flag(float, 0.1, help="quartic coupling"),
+        "n_levels": _Flag(int, 32),
+        "t_final": _Flag(float, 10.0),
+        "dt": _Flag(float, 1e-3),
+        "method": _Flag(str, "rk4", projective.METHODS),
+        "x0": _Flag(float, 1.0, help="initial coherent label x"),
+        "p0": _Flag(float, 0.5, help="initial coherent label p"),
+        "store_every": _Flag(int, 100),
+        "tol": _Flag(float, 1e-6),
+        "hamiltonian_file": _Flag(str, "", help="custom Hamiltonian CSV "
+                                  "(fock.save_operator_csv layout)"),
     },
     "contract_sweep": {
-        "pairs": (str, "0,0:0,1"),
-        "hbar_grid": (lambda s: [float(v) for v in str(s).split(",")],
-                      list(contraction.DEFAULT_HBAR_GRID)),
-        "tol": (float, 1e-3),
-        "numeric_tol": (float, 1e-8),
+        "pairs": _Flag(str, "0,0:0,1", help="'p1,x1:p2,x2[;...]' or 'same'"),
+        "hbar_grid": _Flag(_floats, list(contraction.DEFAULT_HBAR_GRID)),
+        "tol": _Flag(float, 1e-3, help="slope relative tolerance"),
+        "numeric_tol": _Flag(float, 1e-8),
     },
     "contract_classical": {
-        "kind": (str, "harmonic"),
-        "lam": (float, 0.1),
-        "x0": (float, 1.0),
-        "p0": (float, 0.0),
-        "t_final": (float, 2.0),
-        "hbar_grid": (lambda s: [float(v) for v in str(s).split(",")],
-                      [1.0, 0.1, 0.01, 0.001]),
-        "tol": (float, 1e-6),
-        "min_ratio": (float, 10.0),
+        "kind": _Flag(str, "harmonic", ("harmonic", "quartic")),
+        "lam": _Flag(float, 0.1),
+        "x0": _Flag(float, 1.0),
+        "p0": _Flag(float, 0.0),
+        "t_final": _Flag(float, 2.0),
+        "hbar_grid": _Flag(_floats, [1.0, 0.1, 0.01, 0.001]),
+        "tol": _Flag(float, 1e-6),
+        "min_ratio": _Flag(float, 10.0),
     },
+}
+
+# Help of each command word: the group, then "group_action".
+_HELP = {
+    "algebra": "structure table checks",
+    "algebra_verify": "Jacobi residuals and contractions",
+    "coset": "coset space orbits",
+    "coset_orbit": "orbit under repeated group action",
+    "coherent": "coherent state kernels",
+    "coherent_overlap": "overlap table over a label grid",
+    "evolve": "Schrodinger vs Hamilton integration",
+    "contract": "hbar -> 0 sweeps",
+    "contract_sweep": "overlap decay and diagonalization",
+    "contract_classical": "classical trajectory emergence",
 }
 
 
 def _resolve_config(subcommand, args, file_cfg):
-    """flags > config file > defaults, plus the outdir env override."""
-    schema = dict(_COMMON)
-    schema.update(_SCHEMAS[subcommand])
+    """flags > config file > defaults, plus the outdir env override.
+    A config-file value passes the same conversion and choices as its
+    flag."""
     cfg = {"subcommand": subcommand, "version": __version__}
-    for dest, (conv, default) in schema.items():
+    for dest, flag in {**_SCHEMAS[subcommand], **_COMMON}.items():
         flag_val = getattr(args, dest, None)
         if flag_val is not None:
             cfg[dest] = flag_val
         elif dest in file_cfg:
             try:
-                cfg[dest] = conv(file_cfg[dest])
+                cfg[dest] = flag.conv(file_cfg[dest])
             except (TypeError, ValueError) as exc:
                 raise ValidationError(
                     f"config value for {dest!r}: {exc}") from exc
+            if flag.choices is not None and cfg[dest] not in flag.choices:
+                raise ValidationError(
+                    f"config value for {dest!r}: {cfg[dest]!r} is not one "
+                    f"of {', '.join(flag.choices)}")
         else:
-            cfg[dest] = default
+            cfg[dest] = flag.default
     if getattr(args, "outdir", None) is None and os.environ.get(ENV_OUTDIR):
         cfg["outdir"] = os.environ[ENV_OUTDIR]
     return cfg
@@ -196,6 +239,9 @@ def _config_lines(cfg):
 
 
 def _write_csv(cfg, name, header, rows):
+    """Plot-ready CSV; none is written under --format json."""
+    if cfg["format"] == "json":
+        return
     path = os.path.join(cfg["outdir"], name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in _config_lines(cfg):
@@ -217,13 +263,14 @@ def _write_json(cfg, name, results, ok):
     return path
 
 
-def _vec(text, name):
+def _vec(text, name, size=3):
     try:
-        vals = [float(v) for v in str(text).split(",")]
+        vals = _floats(text)
     except ValueError as exc:
         raise ValidationError(f"{name}: {exc}") from exc
-    if len(vals) != 3:
-        raise ValidationError(f"{name} must have 3 comma-separated components")
+    if len(vals) != size:
+        raise ValidationError(
+            f"{name} must have {size} comma-separated components")
     return np.asarray(vals)
 
 
@@ -293,24 +340,21 @@ def run_coset_orbit(cfg):
         g = coset.GalileiElement(B=cfg["b"] * dt, V=_vec(cfg["v"], "v") * dt,
                                  R=expm(coset.omega_from_vector(rot * dt)),
                                  A=_vec(cfg["a"], "a") * dt)
-        pt_vals = [float(v) for v in str(cfg["point"] or "0,0,0,0").split(",")]
-        if len(pt_vals) != 4:
-            raise ValidationError("spacetime point must be t,x1,x2,x3")
+        pt_vals = _vec(cfg["point"] or "0,0,0,0", "spacetime point t,x1,x2,x3", 4)
         pt = coset.SpaceTime(pt_vals[0], pt_vals[1:])
         header = ["step", "t", "x1", "x2", "x3"]
         rows.append([0, pt.t, *pt.x])
         for i in range(1, steps + 1):
             pt = coset.apply_galilei(g, pt)
             rows.append([i, pt.t, *pt.x])
-    elif kind in ("config", "phase"):
+    else:
         e = coset.InfinitesimalElement(
             omega=coset.omega_from_vector(_vec(cfg["omega"], "omega")),
             pbar=_vec(cfg["pbar"], "pbar"), xbar=_vec(cfg["xbar"], "xbar"),
             thetabar=cfg["thetabar"])
         if kind == "config":
-            pt_vals = [float(v) for v in str(cfg["point"] or "0,0,0,0").split(",")]
-            if len(pt_vals) != 4:
-                raise ValidationError("config point must be x1,x2,x3,theta")
+            pt_vals = _vec(cfg["point"] or "0,0,0,0",
+                           "config point x1,x2,x3,theta", 4)
             pt = coset.Config(pt_vals[:3], pt_vals[3])
             header = ["step", "x1", "x2", "x3", "theta"]
             rows.append([0, *pt.x, pt.theta])
@@ -318,21 +362,15 @@ def run_coset_orbit(cfg):
                 pt = coset.exp_config_action(e, pt, t=dt)
                 rows.append([i, *pt.x, pt.theta])
         else:
-            pt_vals = [float(v) for v in
-                       str(cfg["point"] or "0,0,0,1,0,0,0").split(",")]
-            if len(pt_vals) != 7:
-                raise ValidationError("phase point must be p1,p2,p3,x1,x2,x3,theta")
+            pt_vals = _vec(cfg["point"] or "0,0,0,1,0,0,0",
+                           "phase point p1,p2,p3,x1,x2,x3,theta", 7)
             pt = coset.Phase(pt_vals[0:3], pt_vals[3:6], pt_vals[6])
             header = ["step", "p1", "p2", "p3", "x1", "x2", "x3", "theta"]
             rows.append([0, *pt.p, *pt.x, pt.theta])
             for i in range(1, steps + 1):
                 pt = coset.exp_phase_action(e, pt, t=dt)
                 rows.append([i, *pt.p, *pt.x, pt.theta])
-    else:
-        raise ValidationError(
-            f"unknown coset {kind!r}; expected spacetime, config or phase")
-    if cfg["format"] != "json":
-        _write_csv(cfg, "coset_orbit.csv", header, rows)
+    _write_csv(cfg, "coset_orbit.csv", header, rows)
     results = {"n_rows": len(rows), "columns": header,
                "final_row": rows[-1][1:],
                "rows": rows if cfg["format"] == "json" else None}
@@ -366,20 +404,18 @@ def run_coherent_overlap(cfg):
             self_ov = coherent.overlap_analytic(l2, l2, hbar)
             worst_self = max(worst_self, abs(self_ov - 1.0))
     ok = worst_self <= 1e-10 and (not check or worst_gap <= cfg["tol"])
-    if cfg["format"] != "json":
-        _write_csv(cfg, "coherent_overlap.csv",
-                   ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)
+    _write_csv(cfg, "coherent_overlap.csv",
+               ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)
     scan = None
     if cfg["residual_scan"]:
-        radii = [float(v) for v in str(cfg["residual_scan"]).split(",")]
+        radii = _floats(cfg["residual_scan"])
         scan = []
         for radius in radii:
             res = coherent.overcompleteness_residual(
                 n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
             scan.append([radius, cfg["residual_step"], res.residual])
-        if cfg["format"] != "json":
-            _write_csv(cfg, "coherent_residual_scan.csv",
-                       ["radius", "step", "residual"], scan)
+        _write_csv(cfg, "coherent_residual_scan.csv",
+                   ["radius", "step", "residual"], scan)
     results = {"max_numeric_gap": worst_gap if check else None,
                "max_self_overlap_error": worst_self,
                "n_pairs": len(rows),
@@ -406,10 +442,7 @@ def run_evolve(cfg):
         coherent.CoherentLabel(cfg["p0"], cfg["x0"]), n)
     straj = projective.schrodinger_evolve(psi0, spec)
     ctraj = projective.hamilton_evolve(projective.to_coordinates(psi0), spec)
-    s = math.sqrt(2.0)
-    dq = s * straj.states.real - ctraj.q
-    dp = s * straj.states.imag - ctraj.p
-    deviation = float(np.max(np.sqrt(np.sum(dq**2 + dp**2, axis=1))))
+    deviation = projective.trajectory_deviation(straj, ctraj)
     norms = straj.norms()
     norm_drift = float(np.max(np.abs(norms - norms[0])))
     energy = ctraj.energy_series(h_op)
@@ -420,6 +453,7 @@ def run_evolve(cfg):
     if cfg["format"] != "json":
         coord_header = (["t"] + [f"q_{i}" for i in range(n)]
                         + [f"p_{i}" for i in range(n)])
+        s = math.sqrt(2.0)
         _write_csv(cfg, "evolve_schrodinger.csv", coord_header,
                    [[t, *(s * st.real), *(s * st.imag)]
                     for t, st in zip(straj.times, straj.states)])
@@ -470,12 +504,11 @@ def run_contract_sweep(cfg):
     ok = True
     summary = []
     for i, rep in enumerate(reports):
-        if cfg["format"] != "json":
-            _write_csv(cfg, f"contract_sweep_pair{i}.csv",
-                       ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
-                       [[h, ov, rx, rp] for h, ov, rx, rp
-                        in zip(rep.hbar, rep.abs_overlap, rep.offdiag_x,
-                               rep.offdiag_p)])
+        _write_csv(cfg, f"contract_sweep_pair{i}.csv",
+                   ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
+                   [[h, ov, rx, rp] for h, ov, rx, rp
+                    in zip(rep.hbar, rep.abs_overlap, rep.offdiag_x,
+                           rep.offdiag_p)])
         gap = rep.max_numeric_gap
         entry = {"pair_index": i,
                  "labels": {"p1": rep.pair[0].p[0], "x1": rep.pair[0].x[0],
@@ -504,9 +537,8 @@ def run_contract_classical(cfg):
     rep = contraction.classical_trajectory_emergence(
         cfg["x0"], cfg["p0"], cfg["hbar_grid"], kind=cfg["kind"],
         lam=cfg["lam"], t_final=cfg["t_final"])
-    if cfg["format"] != "json":
-        _write_csv(cfg, "contract_classical.csv", ["hbar", "max_traj_dev"],
-                   [[h, d] for h, d in zip(rep.hbar, rep.max_deviation)])
+    _write_csv(cfg, "contract_classical.csv", ["hbar", "max_traj_dev"],
+               [[h, d] for h, d in zip(rep.hbar, rep.max_deviation)])
     results = {"hbar": rep.hbar, "max_deviation": rep.max_deviation,
                "n_levels": rep.n_levels}
     if cfg["kind"] == "harmonic":
@@ -539,115 +571,35 @@ _RUNNERS = {
 }
 
 
-def _add_common(sp):
-    sp.add_argument("--outdir", help="output directory (env GALQ_OUTDIR overrides the default)")
-    sp.add_argument("--seed", type=int, help="seed for randomized checks")
-    sp.add_argument("--format", choices=("csv", "json"),
-                    help="data file format (default csv)")
-    sp.add_argument("--config", help="key = value config file")
-
-
 def build_parser():
+    """The galq parser, generated from _SCHEMAS and _COMMON."""
     parser = _Parser(prog="galq",
                      description="Galilei-symmetry quantum phase space laboratory")
     parser.add_argument("--version", action="version",
                         version=f"galq {__version__}")
     top = parser.add_subparsers(dest="group", required=True,
                                 parser_class=_Parser)
-
-    alg = top.add_parser("algebra", help="structure table checks")
-    alg_sub = alg.add_subparsers(dest="action", required=True,
-                                 parser_class=_Parser)
-    sp = alg_sub.add_parser("verify", help="Jacobi residuals and contractions")
-    sp.set_defaults(subcommand="algebra_verify")
-    sp.add_argument("--k", type=lambda s: [float(v) for v in s.split(",")],
-                    help="comma-separated contraction scales")
-    sp.add_argument("--tol", type=float, help="residual tolerance")
-    sp.add_argument("--table", help="verify a serialized table file instead")
-    _add_common(sp)
-
-    cos = top.add_parser("coset", help="coset space orbits")
-    cos_sub = cos.add_subparsers(dest="action", required=True,
-                                 parser_class=_Parser)
-    sp = cos_sub.add_parser("orbit", help="orbit under repeated group action")
-    sp.set_defaults(subcommand="coset_orbit")
-    sp.add_argument("--coset", choices=("spacetime", "config", "phase"))
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--point", help="comma-separated start coordinates")
-    sp.add_argument("--b", type=float, help="time translation rate")
-    sp.add_argument("--v", help="boost rate vx,vy,vz")
-    sp.add_argument("--a", help="translation rate ax,ay,az")
-    sp.add_argument("--rot", help="rotation rate wx,wy,wz (spacetime)")
-    sp.add_argument("--omega", help="rotation rate wx,wy,wz (config/phase)")
-    sp.add_argument("--pbar", help="momentum translation rate")
-    sp.add_argument("--xbar", help="position translation rate")
-    sp.add_argument("--thetabar", type=float, help="phase rate")
-    _add_common(sp)
-
-    coh = top.add_parser("coherent", help="coherent state kernels")
-    coh_sub = coh.add_subparsers(dest="action", required=True,
-                                 parser_class=_Parser)
-    sp = coh_sub.add_parser("overlap", help="overlap table over a label grid")
-    sp.set_defaults(subcommand="coherent_overlap")
-    sp.add_argument("--n-levels", dest="n_levels", type=int)
-    sp.add_argument("--hbar", type=float)
-    sp.add_argument("--p1", type=float)
-    sp.add_argument("--x1", type=float)
-    sp.add_argument("--grid-min", dest="grid_min", type=float)
-    sp.add_argument("--grid-max", dest="grid_max", type=float)
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--check-numeric", dest="check_numeric",
-                    action="store_true", default=None)
-    sp.add_argument("--no-check-numeric", dest="check_numeric",
-                    action="store_false", default=None)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--residual-scan", dest="residual_scan",
-                    help="comma-separated label radii for an "
-                         "overcompleteness residual scan")
-    sp.add_argument("--residual-step", dest="residual_step", type=float)
-    sp.add_argument("--residual-levels", dest="residual_levels", type=int)
-    _add_common(sp)
-
-    sp = top.add_parser("evolve", help="Schrodinger vs Hamilton integration")
-    sp.set_defaults(subcommand="evolve")
-    sp.add_argument("--kind", choices=fock.HAMILTONIAN_KINDS)
-    sp.add_argument("--lam", type=float, help="quartic coupling")
-    sp.add_argument("--n-levels", dest="n_levels", type=int)
-    sp.add_argument("--t-final", dest="t_final", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--method", choices=projective.METHODS)
-    sp.add_argument("--x0", type=float, help="initial coherent label x")
-    sp.add_argument("--p0", type=float, help="initial coherent label p")
-    sp.add_argument("--store-every", dest="store_every", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--hamiltonian-file", dest="hamiltonian_file",
-                    help="custom Hamiltonian CSV (fock.save_operator_csv layout)")
-    _add_common(sp)
-
-    con = top.add_parser("contract", help="hbar -> 0 sweeps")
-    con_sub = con.add_subparsers(dest="action", required=True,
-                                 parser_class=_Parser)
-    sp = con_sub.add_parser("sweep", help="overlap decay and diagonalization")
-    sp.set_defaults(subcommand="contract_sweep")
-    sp.add_argument("--pairs", help="'p1,x1:p2,x2[;...]' or 'same'")
-    sp.add_argument("--hbar-grid", dest="hbar_grid",
-                    type=lambda s: [float(v) for v in s.split(",")])
-    sp.add_argument("--tol", type=float, help="slope relative tolerance")
-    sp.add_argument("--numeric-tol", dest="numeric_tol", type=float)
-    _add_common(sp)
-    sp = con_sub.add_parser("classical", help="classical trajectory emergence")
-    sp.set_defaults(subcommand="contract_classical")
-    sp.add_argument("--kind", choices=("harmonic", "quartic"))
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--x0", type=float)
-    sp.add_argument("--p0", type=float)
-    sp.add_argument("--t-final", dest="t_final", type=float)
-    sp.add_argument("--hbar-grid", dest="hbar_grid",
-                    type=lambda s: [float(v) for v in s.split(",")])
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--min-ratio", dest="min_ratio", type=float)
-    _add_common(sp)
+    groups = {}
+    for subcommand, schema in _SCHEMAS.items():
+        group, _, action = subcommand.partition("_")
+        if not action:
+            sp = top.add_parser(group, help=_HELP[group])
+        else:
+            if group not in groups:
+                groups[group] = top.add_parser(
+                    group, help=_HELP[group]).add_subparsers(
+                        dest="action", required=True, parser_class=_Parser)
+            sp = groups[group].add_parser(action, help=_HELP[subcommand])
+        sp.set_defaults(subcommand=subcommand)
+        for dest, flag in {**schema, **_COMMON}.items():
+            name = "--" + dest.replace("_", "-")
+            if isinstance(flag.default, bool):
+                sp.add_argument(name, action=argparse.BooleanOptionalAction,
+                                help=flag.help)
+            else:
+                sp.add_argument(name, type=flag.conv, choices=flag.choices,
+                                help=flag.help)
+        sp.add_argument("--config", help="key = value config file")
     return parser
 
 

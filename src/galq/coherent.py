@@ -77,7 +77,7 @@ def displacement(label, n_levels):
     """Unitary U = exp(i(p X - x P + theta I)) on the truncated space.
 
     Single-axis labels only; multi-axis operators are Kronecker products of
-    these (see fock.tensor2) and are not needed quantitatively.
+    these and are not needed quantitatively.
     """
     if label.d != 1:
         raise ValidationError("displacement operators are built per axis (d=1)")
@@ -112,25 +112,29 @@ def coherent_state(label, n_levels, tail_tol=1e-12):
     return StateVector(n_levels, u.matrix @ vacuum(n_levels).amplitudes)
 
 
+def _log_space_amplitudes(alpha, n_levels):
+    """Rows e^{-|a|^2/2} a^n/sqrt(n!), n < n_levels, one per entry of the
+    1-d array alpha; evaluated in log space, stable for large |alpha|."""
+    n = np.arange(n_levels)
+    absa = np.abs(alpha)
+    log_absa = np.log(np.where(absa > 0, absa, 1.0))  # alpha=0 rows fixed below
+    log_mag = (-0.5 * absa[:, None] ** 2 + n[None, :] * log_absa[:, None]
+               - 0.5 * gammaln(n + 1.0)[None, :])
+    amps = np.exp(log_mag) * np.exp(1j * n[None, :] * np.angle(alpha)[:, None])
+    amps[absa == 0] = (n == 0).astype(complex)
+    return amps
+
+
 def coherent_amplitudes(label, n_levels):
     """Closed-form truncated expansion e^{i theta} e^{-|a|^2/2} a^n/sqrt(n!).
 
-    Log-space evaluation, stable for large |alpha|.  This is the analytic
-    oracle for :func:`coherent_state` (equal up to the truncation tail).
+    This is the analytic oracle for :func:`coherent_state` (equal up to the
+    truncation tail).
     """
     if label.d != 1:
         raise ValidationError("per-axis amplitudes only (d=1)")
-    alpha = complex(label.alpha[0])
-    n = np.arange(n_levels)
-    if alpha == 0:
-        mag = np.where(n == 0, 1.0, 0.0)
-        phase = np.zeros(n_levels)
-    else:
-        mag = np.exp(-0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha))
-                     - 0.5 * gammaln(n + 1.0))
-        phase = n * np.angle(alpha)
-    amps = mag * np.exp(1j * (phase + label.theta))
-    return StateVector(n_levels, amps)
+    amps = _log_space_amplitudes(label.alpha, n_levels)[0]
+    return StateVector(n_levels, amps * np.exp(1j * label.theta))
 
 
 def overlap_analytic(l1, l2, hbar=1.0):
@@ -192,14 +196,7 @@ def overcompleteness_residual(n_levels, radius, step, n_check=16):
     pts = -radius + step * np.arange(m + 1)
     pp, xx = np.meshgrid(pts, pts, indexing="ij")
     alpha = (xx.ravel() + 1j * pp.ravel()) / math.sqrt(2.0)
-    n = np.arange(n_check)
-    # amplitudes[l, n] = e^{-|a|^2/2} a^n / sqrt(n!), log-space for safety
-    absa = np.abs(alpha)
-    log_absa = np.log(np.where(absa > 0, absa, 1.0))  # alpha=0 rows fixed below
-    log_mag = (-0.5 * absa[:, None] ** 2 + n[None, :] * log_absa[:, None]
-               - 0.5 * gammaln(n + 1.0)[None, :])
-    amps = np.exp(log_mag) * np.exp(1j * n[None, :] * np.angle(alpha)[:, None])
-    amps[absa == 0] = (n == 0).astype(complex)
+    amps = _log_space_amplitudes(alpha, n_check)
     s_block = (step * step / (2.0 * math.pi)) * (amps.T @ amps.conj())
     residual = float(np.max(np.abs(s_block - np.eye(n_check))))
     return OvercompletenessResult(residual, n_check, alpha.size, s_block, warning)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .coherent import (
@@ -30,6 +29,7 @@ from .coherent import (
     overlap_analytic,
 )
 from .errors import DegenerateFitError, PrecisionError, ValidationError
+from .fock import hamiltonian_matrix, ladder_matrix, xp_matrices
 
 DEFAULT_HBAR_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 
@@ -217,31 +217,11 @@ def _fit_log_decay(hbar, absov):
 
 # --- classical trajectory emergence ---------------------------------------
 
-def _sparse_ladder(n_levels):
-    d = np.sqrt(np.arange(1, n_levels, dtype=float))
-    a = sp.diags(d, 1, format="csc")
-    return a, a.conj().T.tocsc()
-
-
 def sparse_internal_hamiltonian(kind, n_levels, lam_eff=0.0):
     """Internal-unit Hamiltonian as a sparse banded matrix; lam_eff is the
     effective quartic coupling lam * hbar."""
-    a, adag = _sparse_ladder(n_levels)
-    x = (a + adag) / math.sqrt(2.0)
-    p = 1j * (adag - a) / math.sqrt(2.0)
-    p2 = (p @ p).real
-    if kind == "free":
-        h = 0.5 * p2
-    elif kind == "harmonic":
-        h = 0.5 * (p2 + (x @ x))
-    elif kind == "quartic":
-        if lam_eff < 0:
-            raise ValidationError("quartic coupling must be >= 0")
-        x2 = x @ x
-        h = 0.5 * (p2 + x2) + lam_eff * (x2 @ x2)
-    else:
-        raise ValidationError(f"unknown Hamiltonian kind {kind!r}")
-    return sp.csc_matrix(h.real)
+    x, p = xp_matrices(ladder_matrix(n_levels))
+    return hamiltonian_matrix(kind, x, p, lam_eff).real
 
 
 def classical_flow(x0, p0, times, kind="harmonic", lam=0.1, substeps=50):
@@ -330,9 +310,7 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
         internal = unscaled_label(tilde, hbar)
         psi0 = coherent_amplitudes(internal, n).amplitudes
         h = sparse_internal_hamiltonian(kind, n, lam_eff=lam * hbar)
-        a, adag = _sparse_ladder(n)
-        x_op = (a + adag) / math.sqrt(2.0)
-        p_op = 1j * (adag - a) / math.sqrt(2.0)
+        x_op, p_op = xp_matrices(ladder_matrix(n))
         if t_final > 0:
             states = expm_multiply(-1j * h, psi0, start=0.0, stop=t_final,
                                    num=times.size, endpoint=True)

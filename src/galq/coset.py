@@ -77,10 +77,6 @@ class GalileiElement:
         return m
 
 
-def identity_element():
-    return GalileiElement()
-
-
 @dataclass(frozen=True, eq=False)
 class InfinitesimalElement:
     """Lie algebra element; only the parameter subset relevant to a given
@@ -161,24 +157,11 @@ def infinitesimal_spacetime(e, pt):
     return e.b, e.v * pt.t + e.omega @ pt.x + e.a
 
 
-def infinitesimal_config(e, pt):
-    """Tangent (dx, dtheta) = (omega x + xbar, pbar.x + thetabar)."""
-    dx = e.omega @ pt.x + e.xbar
-    dtheta = float(e.pbar @ pt.x) + e.thetabar
-    return dx, dtheta
-
-
-def infinitesimal_phase(e, pt):
-    """Tangent (dp, dx, dtheta) with the symplectic cocycle in dtheta."""
-    dp = e.omega @ pt.p + e.pbar
-    dx = e.omega @ pt.x + e.xbar
-    dtheta = 0.5 * float(e.pbar @ pt.x - e.xbar @ pt.p) + e.thetabar
-    return dp, dx, dtheta
-
-
 def contracted_action(e, pt, params=None, limit=False):
     """Infinitesimal action in the contracted basis.
 
+    At k = 1 it is the plain action: dtheta = pbar.x + thetabar on Config
+    and (pbar.x - xbar.p)/2 + thetabar, the symplectic cocycle, on Phase.
     All inputs are read as already-scaled quantities; the only change from
     the k = 1 action is that the central cocycle in dtheta is multiplied by
     hbar = 1/k**2.  With ``limit=True`` the strict k -> infinity form is

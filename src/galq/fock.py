@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 
@@ -146,31 +147,63 @@ def variance(op, psi):
     return expectation(sq, psi) - mean**2
 
 
-def build_ladder(n_levels):
-    """Annihilation/creation pair: a has sqrt(n) on the superdiagonal."""
+def ladder_matrix(n_levels):
+    """Annihilation operator a as a sparse banded matrix: sqrt(n) on the
+    superdiagonal.  Stored complex, so that X, P and H built from it, sparse
+    or through ``.toarray()``, take only complex products."""
     if n_levels < 2:
         raise ValidationError("need at least 2 levels")
-    diag = np.sqrt(np.arange(1, n_levels, dtype=float))
-    a = np.diag(diag, k=1)
+    diag = np.sqrt(np.arange(1, n_levels, dtype=float)).astype(complex)
+    return sp.diags(diag, 1, format="csc")
+
+
+def xp_matrices(a, hbar=1.0):
+    """X = sqrt(hbar/2)(a + a+), P = i sqrt(hbar/2)(a+ - a) from a ladder
+    matrix a, sparse or dense.  a is real, so a+ is its transpose."""
+    if hbar <= 0:
+        raise ValidationError("hbar must be positive")
+    adag = a.T
+    s = np.sqrt(hbar / 2.0)
+    return s * (a + adag), 1j * s * (adag - a)
+
+
+HAMILTONIAN_KINDS = ("harmonic", "free", "quartic")
+
+
+def hamiltonian_matrix(kind, x, p, lam=0.1):
+    """Reference Hamiltonians from X and P matrices, sparse or dense:
+    harmonic (P^2 + X^2)/2, free P^2/2, and quartic = harmonic + lam * X^4
+    (lam >= 0; the truncated quartic with negative lam is unbounded below
+    in ways that depend on the cutoff)."""
+    if kind not in HAMILTONIAN_KINDS:
+        raise ValidationError(
+            f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
+    if kind == "quartic" and lam < 0:
+        raise ValidationError("quartic coupling lam must be >= 0")
+    p2 = p @ p
+    if kind == "free":
+        h = 0.5 * p2
+    else:
+        x2 = x @ x
+        h = 0.5 * (p2 + x2)
+        if kind == "quartic":
+            h = h + lam * (x2 @ x2)
+    return 0.5 * (h + h.conj().T)  # scrub roundoff asymmetry
+
+
+def build_ladder(n_levels):
+    """Annihilation/creation pair: a has sqrt(n) on the superdiagonal."""
+    a = ladder_matrix(n_levels).toarray()
     return (FockOperator(n_levels, a, label="a"),
-            FockOperator(n_levels, a.conj().T, label="a+"))
-
-
-def identity_op(n_levels, hbar=1.0):
-    return FockOperator(n_levels, np.eye(n_levels), hbar, "I")
+            FockOperator(n_levels, a.T, label="a+"))
 
 
 def build_xp(n_levels, hbar=1.0):
-    """X = sqrt(hbar/2)(a + a+), P = i sqrt(hbar/2)(a+ - a); both Hermitian.
+    """Dense X/P pair from :func:`xp_matrices`; both Hermitian.
 
     Entries scale as sqrt(hbar) relative to the hbar = 1 pair.
     """
-    if hbar <= 0:
-        raise ValidationError("hbar must be positive")
-    a, adag = build_ladder(n_levels)
-    s = np.sqrt(hbar / 2.0)
-    x = s * (a.matrix + adag.matrix)
-    p = 1j * s * (adag.matrix - a.matrix)
+    x, p = xp_matrices(ladder_matrix(n_levels).toarray(), hbar)
     return (FockOperator(n_levels, x, hbar, "X"),
             FockOperator(n_levels, p, hbar, "P"))
 
@@ -194,29 +227,11 @@ def commutator_defect(x_op, p_op):
     return float(np.max(np.abs(interior))), corner
 
 
-HAMILTONIAN_KINDS = ("harmonic", "free", "quartic")
-
-
 def build_hamiltonian(kind, n_levels, hbar=1.0, lam=0.1):
-    """Reference Hamiltonians: harmonic (P^2 + X^2)/2, free P^2/2, and
-    quartic = harmonic + lam * X^4 (lam >= 0; the truncated quartic with
-    negative lam is unbounded below in ways that depend on the cutoff)."""
-    if kind not in HAMILTONIAN_KINDS:
-        raise ValidationError(
-            f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
-    x, p = build_xp(n_levels, hbar)
-    p2 = p.matrix @ p.matrix
-    if kind == "free":
-        h = 0.5 * p2
-    else:
-        x2 = x.matrix @ x.matrix
-        h = 0.5 * (p2 + x2)
-        if kind == "quartic":
-            if lam < 0:
-                raise ValidationError("quartic coupling lam must be >= 0")
-            h = h + lam * (x2 @ x2)
-    h = 0.5 * (h + h.conj().T)  # scrub roundoff asymmetry
-    return FockOperator(n_levels, h, hbar, kind)
+    """Dense reference Hamiltonian from :func:`hamiltonian_matrix`."""
+    x, p = xp_matrices(ladder_matrix(n_levels).toarray(), hbar)
+    return FockOperator(n_levels, hamiltonian_matrix(kind, x, p, lam), hbar,
+                        kind)
 
 
 def expi_hermitian(mat, scale=1.0):
@@ -229,16 +244,6 @@ def expi_hermitian(mat, scale=1.0):
         raise ValidationError("generator must be Hermitian")
     w, v = np.linalg.eigh(mat)
     return (v * np.exp(1j * scale * w)) @ v.conj().T
-
-
-def tensor2(op1, op2):
-    """Kronecker product on the doubled space; smoke-test helper for the
-    two-axis case (everything quantitative in galq is per-axis)."""
-    if op1.hbar != op2.hbar:
-        raise ValidationError("operators carry different hbar conventions")
-    n = op1.n_levels * op2.n_levels
-    return FockOperator(n, np.kron(op1.matrix, op2.matrix), op1.hbar,
-                        f"{op1.label}(x){op2.label}")
 
 
 # --- CSV debugging interface ----------------------------------------------

@@ -246,16 +246,22 @@ def exact_evolve(psi0, h_op, times, hbar=1.0):
     return StateTrajectory(times, (phases * coeff) @ v.T)
 
 
-def equivalence_report(psi0, spec):
+def trajectory_deviation(straj, ctraj):
     """Max over sampled times of the Euclidean distance between the
-    coordinate vectors produced by the two independent integrations."""
-    straj = schrodinger_evolve(psi0, spec)
-    ctraj = hamilton_evolve(to_coordinates(psi0, spec.hbar), spec)
-    s = math.sqrt(2.0 * spec.hbar)
+    coordinates of an amplitude trajectory and a coordinate trajectory."""
+    s = math.sqrt(2.0 * ctraj.hbar)
     dq = s * straj.states.real - ctraj.q
     dp = s * straj.states.imag - ctraj.p
     dist = np.sqrt(np.sum(dq**2 + dp**2, axis=1))
     return float(np.max(dist)) if dist.size else 0.0
+
+
+def equivalence_report(psi0, spec):
+    """:func:`trajectory_deviation` between the two independent
+    integrations of psi0 under spec."""
+    straj = schrodinger_evolve(psi0, spec)
+    ctraj = hamilton_evolve(to_coordinates(psi0, spec.hbar), spec)
+    return trajectory_deviation(straj, ctraj)
 
 
 def ray_invariants(psi, x_op=None, p_op=None, h_op=None, n_phases=16,

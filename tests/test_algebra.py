@@ -107,8 +107,8 @@ def test_generator_name_validation():
     with pytest.raises(ValidationError):
         algebra.StructureTable(("Q_1",), {})
     with pytest.raises(ValidationError):
-        algebra.GeneratorId("X_4", 0)
-    algebra.GeneratorId("T", 0)  # time translation allowed in the data model
+        algebra.StructureTable(("X_4",), {})
+    algebra.StructureTable(("T",), {})  # time translation allowed in the data model
 
 
 def test_contract_k10_central_coefficient():

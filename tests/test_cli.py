@@ -1,5 +1,6 @@
 """CLI contract: resolution order, output layout, exit codes, determinism."""
 
+import argparse
 import json
 import os
 
@@ -213,3 +214,83 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert run(cmd) == 0
     for name, blob in snapshot.items():
         assert read(tmp_path / name) == blob, f"{name} not reproducible"
+
+
+@pytest.mark.parametrize("line", ["format = xml", "check_numeric = flase"])
+def test_config_file_value_checked_like_its_flag(tmp_path, line, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    assert run(["coherent", "overlap", "--config", str(cfgfile),
+                "--grid-points", "2", "--outdir", str(tmp_path)]) == 1
+    assert "config value for" in capsys.readouterr().err
+    assert not (tmp_path / "coherent_overlap.json").exists()
+
+
+@pytest.mark.parametrize("text,want", [
+    ("no", False), ("0", False), ("False", False),
+    ("yes", True), ("1", True), ("TRUE", True)])
+def test_config_file_booleans(tmp_path, text, want):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"check_numeric = {text}\n")
+    assert run(["coherent", "overlap", "--config", str(cfgfile),
+                "--grid-points", "2", "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(read(tmp_path / "coherent_overlap.json"))
+    assert doc["config"]["check_numeric"] is want
+
+
+COMMON_FLAGS = {"--help", "--config", "--outdir", "--seed", "--format"}
+
+# Long flags and choices of each subcommand; a change here changes the CLI.
+CLI_SURFACE = {
+    ("algebra", "verify"): ({"--k", "--tol", "--table"}, {}),
+    ("coset", "orbit"): (
+        {"--coset", "--steps", "--dt", "--point", "--b", "--v", "--a",
+         "--rot", "--omega", "--pbar", "--xbar", "--thetabar"},
+        {"--coset": ("spacetime", "config", "phase")}),
+    ("coherent", "overlap"): (
+        {"--n-levels", "--hbar", "--p1", "--x1", "--grid-min", "--grid-max",
+         "--grid-points", "--check-numeric", "--no-check-numeric", "--tol",
+         "--residual-scan", "--residual-step", "--residual-levels"}, {}),
+    ("evolve",): (
+        {"--kind", "--lam", "--n-levels", "--t-final", "--dt", "--method",
+         "--x0", "--p0", "--store-every", "--tol", "--hamiltonian-file"},
+        {"--kind": ("harmonic", "free", "quartic"),
+         "--method": ("rk4", "symplectic_leapfrog")}),
+    ("contract", "sweep"): (
+        {"--pairs", "--hbar-grid", "--tol", "--numeric-tol"}, {}),
+    ("contract", "classical"): (
+        {"--kind", "--lam", "--x0", "--p0", "--t-final", "--hbar-grid",
+         "--tol", "--min-ratio"},
+        {"--kind": ("harmonic", "quartic")}),
+}
+
+
+def _leaf_parsers(parser, words=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _leaf_parsers(child, words + (name,))
+
+
+def test_cli_surface():
+    found = {}
+    for words, parser in _leaf_parsers(cli.build_parser()):
+        flags = {s for a in parser._actions for s in a.option_strings
+                 if s.startswith("--")}
+        choices = {s: tuple(a.choices) for a in parser._actions
+                   for s in a.option_strings if a.choices is not None}
+        found[words] = (flags, choices)
+    want = {words: (flags | COMMON_FLAGS,
+                    {"--format": ("csv", "json"), **choices})
+            for words, (flags, choices) in CLI_SURFACE.items()}
+    assert found == want
+    assert [len(found[w][0]) for w in CLI_SURFACE] == [8, 17, 18, 16, 9, 13]
+
+
+@pytest.mark.parametrize("words", list(CLI_SURFACE))
+def test_help_exits_0(words, capsys):
+    assert run([*words, "--help"]) == 0
+    assert "--config" in capsys.readouterr().out

@@ -146,20 +146,6 @@ def test_expi_hermitian_unitary():
         fock.expi_hermitian(rng.normal(size=(4, 4)) + np.diag([1j, 0, 0, 0]))
 
 
-def test_tensor2_smoke():
-    x, p = fock.build_xp(4, 1.0)
-    ident = fock.identity_op(4)
-    x1 = fock.tensor2(x, ident)
-    x2 = fock.tensor2(ident, x)
-    # the two axes commute exactly
-    np.testing.assert_allclose(x1.matrix @ x2.matrix, x2.matrix @ x1.matrix,
-                               atol=1e-14)
-    assert x1.n_levels == 16
-    comm = fock.tensor2(x, ident).matrix @ fock.tensor2(ident, p).matrix \
-        - fock.tensor2(ident, p).matrix @ fock.tensor2(x, ident).matrix
-    np.testing.assert_allclose(comm, np.zeros((16, 16)), atol=1e-14)
-
-
 def test_state_vector_validation():
     with pytest.raises(ValidationError):
         fock.StateVector(3, np.array([1.0, np.inf, 0.0], dtype=complex))
