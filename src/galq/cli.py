@@ -87,8 +87,16 @@ def parse_config_file(path):
     return out
 
 
+def _float(text):
+    """A float flag's value; NaN and infinity are rejected as input."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text!r} is not finite")
+    return val
+
+
 def _floats(text):
-    return [float(v) for v in str(text).split(",")]
+    return [_float(v) for v in str(text).split(",")]
 
 
 def _bool(text):
@@ -120,15 +128,15 @@ _COMMON = {
 _SCHEMAS = {
     "algebra_verify": {
         "k": _Flag(_floats, [10.0], help="comma-separated contraction scales"),
-        "tol": _Flag(float, 1e-12, help="residual tolerance"),
+        "tol": _Flag(_float, 1e-12, help="residual tolerance"),
         "table": _Flag(str, "", help="verify a serialized table file instead"),
     },
     "coset_orbit": {
         "coset": _Flag(str, "phase", ("spacetime", "config", "phase")),
         "steps": _Flag(int, 20),
-        "dt": _Flag(float, 0.1),
+        "dt": _Flag(_float, 0.1),
         "point": _Flag(str, "", help="comma-separated start coordinates"),
-        "b": _Flag(float, 0.0, help="time translation rate"),
+        "b": _Flag(_float, 0.0, help="time translation rate"),
         "v": _Flag(str, "0,0,0", help="boost rate vx,vy,vz"),
         "a": _Flag(str, "0,0,0", help="translation rate ax,ay,az"),
         "rot": _Flag(str, "0,0,0", help="rotation rate wx,wy,wz (spacetime)"),
@@ -136,52 +144,52 @@ _SCHEMAS = {
                        help="rotation rate wx,wy,wz (config/phase)"),
         "pbar": _Flag(str, "0,0,0", help="momentum translation rate"),
         "xbar": _Flag(str, "0,0,0", help="position translation rate"),
-        "thetabar": _Flag(float, 0.0, help="phase rate"),
+        "thetabar": _Flag(_float, 0.0, help="phase rate"),
     },
     "coherent_overlap": {
         "n_levels": _Flag(int, 128),
-        "hbar": _Flag(float, 1.0),
-        "p1": _Flag(float, 0.0),
-        "x1": _Flag(float, 0.0),
-        "grid_min": _Flag(float, -2.0),
-        "grid_max": _Flag(float, 2.0),
+        "hbar": _Flag(_float, 1.0),
+        "p1": _Flag(_float, 0.0),
+        "x1": _Flag(_float, 0.0),
+        "grid_min": _Flag(_float, -2.0),
+        "grid_max": _Flag(_float, 2.0),
         "grid_points": _Flag(int, 9),
         "check_numeric": _Flag(_bool, True),
-        "tol": _Flag(float, 1e-8),
+        "tol": _Flag(_float, 1e-8),
         "residual_scan": _Flag(str, "", help="comma-separated label radii for "
                                "an overcompleteness residual scan"),
-        "residual_step": _Flag(float, 0.25),
+        "residual_step": _Flag(_float, 0.25),
         "residual_levels": _Flag(int, 16),
     },
     "evolve": {
         "kind": _Flag(str, "harmonic", fock.HAMILTONIAN_KINDS),
-        "lam": _Flag(float, 0.1, help="quartic coupling"),
+        "lam": _Flag(_float, 0.1, help="quartic coupling"),
         "n_levels": _Flag(int, 32),
-        "t_final": _Flag(float, 10.0),
-        "dt": _Flag(float, 1e-3),
+        "t_final": _Flag(_float, 10.0),
+        "dt": _Flag(_float, 1e-3),
         "method": _Flag(str, "rk4", projective.METHODS),
-        "x0": _Flag(float, 1.0, help="initial coherent label x"),
-        "p0": _Flag(float, 0.5, help="initial coherent label p"),
+        "x0": _Flag(_float, 1.0, help="initial coherent label x"),
+        "p0": _Flag(_float, 0.5, help="initial coherent label p"),
         "store_every": _Flag(int, 100),
-        "tol": _Flag(float, 1e-6),
+        "tol": _Flag(_float, 1e-6),
         "hamiltonian_file": _Flag(str, "", help="custom Hamiltonian CSV "
                                   "(fock.save_operator_csv layout)"),
     },
     "contract_sweep": {
         "pairs": _Flag(str, "0,0:0,1", help="'p1,x1:p2,x2[;...]' or 'same'"),
         "hbar_grid": _Flag(_floats, list(contraction.DEFAULT_HBAR_GRID)),
-        "tol": _Flag(float, 1e-3, help="slope relative tolerance"),
-        "numeric_tol": _Flag(float, 1e-8),
+        "tol": _Flag(_float, 1e-3, help="slope relative tolerance"),
+        "numeric_tol": _Flag(_float, 1e-8),
     },
     "contract_classical": {
         "kind": _Flag(str, "harmonic", ("harmonic", "quartic")),
-        "lam": _Flag(float, 0.1),
-        "x0": _Flag(float, 1.0),
-        "p0": _Flag(float, 0.0),
-        "t_final": _Flag(float, 2.0),
+        "lam": _Flag(_float, 0.1),
+        "x0": _Flag(_float, 1.0),
+        "p0": _Flag(_float, 0.0),
+        "t_final": _Flag(_float, 2.0),
         "hbar_grid": _Flag(_floats, [1.0, 0.1, 0.01, 0.001]),
-        "tol": _Flag(float, 1e-6),
-        "min_ratio": _Flag(float, 10.0),
+        "tol": _Flag(_float, 1e-6),
+        "min_ratio": _Flag(_float, 10.0),
     },
 }
 
@@ -253,13 +261,29 @@ def _write_csv(cfg, name, header, rows):
     return path
 
 
+def _nonfinite_key(obj, key):
+    """Key path of the first NaN or infinity in a _jsonable tree, or None."""
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}", v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{key}[{j}]", v) for j, v in enumerate(obj))
+    else:
+        return key if isinstance(obj, float) and not math.isfinite(obj) else None
+    return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
+
+
 def _write_json(cfg, name, results, ok):
+    """Strict JSON: a NaN or infinity in the results raises instead of
+    being written (the config cannot hold one: _float rejects them)."""
     path = os.path.join(cfg["outdir"], name)
     doc = {"config": _jsonable(cfg), "results": _jsonable(results),
            "pass": bool(ok)}
+    bad = _nonfinite_key(doc["results"], "results")
+    if bad is not None:
+        raise GalqError(f"{name} not written: {bad} is not finite")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -413,9 +437,10 @@ def run_coherent_overlap(cfg):
         for radius in radii:
             res = coherent.overcompleteness_residual(
                 n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
-            scan.append([radius, cfg["residual_step"], res.residual])
+            scan.append([radius, cfg["residual_step"], res.residual,
+                         res.warning])
         _write_csv(cfg, "coherent_residual_scan.csv",
-                   ["radius", "step", "residual"], scan)
+                   ["radius", "step", "residual"], [r[:3] for r in scan])
     results = {"max_numeric_gap": worst_gap if check else None,
                "max_self_overlap_error": worst_self,
                "n_pairs": len(rows),
@@ -471,7 +496,8 @@ def run_evolve(cfg):
           and energy_drift <= 1e-8 and ray_sens <= 1e-12)
     results = {"max_deviation": deviation, "norm_drift": norm_drift,
                "energy_drift": energy_drift, "ray_sensitivity": ray_sens,
-               "n_samples": int(straj.times.size)}
+               "n_samples": int(straj.times.size),
+               "edge_mass": fock.edge_mass(straj.states)}
     _write_json(cfg, "evolve.json", results, ok)
     print(f"evolve: deviation {deviation:.3e}, norm drift {norm_drift:.3e}, "
           f"energy drift {energy_drift:.3e} -> {'PASS' if ok else 'FAIL'}")
@@ -487,8 +513,8 @@ def _parse_pairs(text):
     for chunk in text.split(";"):
         try:
             left, right = chunk.split(":")
-            p1, x1 = (float(v) for v in left.split(","))
-            p2, x2 = (float(v) for v in right.split(","))
+            p1, x1 = (_float(v) for v in left.split(","))
+            p2, x2 = (_float(v) for v in right.split(","))
         except ValueError as exc:
             raise ValidationError(
                 f"pair syntax is 'p1,x1:p2,x2[;...]', got {chunk!r}") from exc
@@ -514,10 +540,12 @@ def run_contract_sweep(cfg):
                  "labels": {"p1": rep.pair[0].p[0], "x1": rep.pair[0].x[0],
                             "p2": rep.pair[1].p[0], "x2": rep.pair[1].x[0]},
                  "fitted_slope": rep.fitted_slope,
-                 "slope_stderr": rep.slope_stderr,
+                 "slope_stderr": None if math.isnan(rep.slope_stderr)
+                 else rep.slope_stderr,
                  "expected_slope": rep.expected_slope,
                  "slope_rel_error": rep.slope_rel_error,
-                 "max_numeric_gap": None if math.isnan(gap) else gap}
+                 "max_numeric_gap": None if math.isnan(gap) else gap,
+                 "n_levels": rep.n_levels}
         pair_ok = rep.slope_rel_error <= cfg["tol"]
         if not math.isnan(gap):
             pair_ok = pair_ok and gap <= cfg["numeric_tol"]
@@ -540,15 +568,16 @@ def run_contract_classical(cfg):
     _write_csv(cfg, "contract_classical.csv", ["hbar", "max_traj_dev"],
                [[h, d] for h, d in zip(rep.hbar, rep.max_deviation)])
     results = {"hbar": rep.hbar, "max_deviation": rep.max_deviation,
-               "n_levels": rep.n_levels}
+               "n_levels": rep.n_levels, "edge_mass": rep.edge_mass}
     if cfg["kind"] == "harmonic":
         ok = bool(np.all(rep.max_deviation <= cfg["tol"]))
         results["criterion"] = f"all deviations <= {_fmt(cfg['tol'])}"
     else:
+        # no ratio when the last deviation is 0, which passes it
         ratio = float(rep.max_deviation[0] / rep.max_deviation[-1]) \
-            if rep.max_deviation[-1] > 0 else math.inf
+            if rep.max_deviation[-1] > 0 else None
         mono = bool(np.all(np.diff(rep.max_deviation) <= 0))
-        ok = ratio >= cfg["min_ratio"] and mono
+        ok = (ratio is None or ratio >= cfg["min_ratio"]) and mono
         results["first_to_last_ratio"] = ratio
         results["nonincreasing"] = mono
         results["criterion"] = (f"deviation ratio >= {_fmt(cfg['min_ratio'])} "

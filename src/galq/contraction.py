@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammainc
 
 from .coherent import (
     CoherentLabel,
@@ -29,9 +30,17 @@ from .coherent import (
     overlap_analytic,
 )
 from .errors import DegenerateFitError, PrecisionError, ValidationError
-from .fock import hamiltonian_matrix, ladder_matrix, xp_matrices
+from .fock import edge_mass, hamiltonian_matrix, ladder_matrix, xp_matrices
 
 DEFAULT_HBAR_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+
+# The verified Fock cutoff: start at the smallest N >= MIN_LEVELS whose
+# Poisson tail P[n >= N] is <= START_TAIL, then double the margin N - mu
+# above the mean occupation mu until the largest population in the top
+# levels along the evolution is <= EDGE_TOL.
+MIN_LEVELS = 16
+START_TAIL = 1e-12
+EDGE_TOL = 1e-10
 
 
 def relabel(p, x, hbar):
@@ -56,14 +65,27 @@ def unscaled_label(label, hbar):
     return CoherentLabel(p, x, label.theta, label.d)
 
 
-def default_n_policy(hbar, labels, floor=64, factor=9.0):
-    """Fock cutoff keeping the sweep's largest coherent tail far below 1e-12:
-    N >= max(floor, factor * max |alpha|^2) over the unscaled labels."""
-    mu_max = 0.0
-    for lab in labels:
-        alpha2 = float(np.sum(np.abs(unscaled_label(lab, hbar).alpha) ** 2))
-        mu_max = max(mu_max, alpha2)
-    return int(max(floor, math.ceil(factor * mu_max)))
+def start_cutoff(mu):
+    """Smallest N >= MIN_LEVELS with gammainc(N, mu) = P[Poisson(mu) >= N]
+    <= START_TAIL: the cutoff that keeps the Fock tail of a coherent state
+    of mean occupation mu (see coherent.coherent_tail_mass)."""
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValidationError("mean occupation must be finite and >= 0")
+    lo, hi = MIN_LEVELS - 1, MIN_LEVELS  # hi is the first candidate
+    while gammainc(hi, mu) > START_TAIL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # gammainc falls with N: lo fails, hi passes
+        mid = (lo + hi) // 2
+        if gammainc(mid, mu) <= START_TAIL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _occupation(label, hbar):
+    """Mean Fock occupation |alpha|^2 of the unscaled label."""
+    return float(np.sum(np.abs(unscaled_label(label, hbar).alpha) ** 2))
 
 
 def _labels_distinct(l1, l2):
@@ -86,9 +108,9 @@ def fock_overlap_series(l1, l2, hbar, n_levels):
 
 class SweepSpec:
     """Overlap-decay sweep: hbar grid (strictly descending), tilde label
-    pairs, and the rule assigning a safe Fock cutoff to each hbar."""
+    pairs, and the largest Fock cutoff the numeric series may use."""
 
-    def __init__(self, hbar_grid, label_pairs, n_policy=None, n_cap=8192):
+    def __init__(self, hbar_grid, label_pairs, n_cap=8192):
         grid = tuple(float(h) for h in hbar_grid)
         if not grid or any(h <= 0 for h in grid):
             raise ValidationError("hbar grid must be positive")
@@ -99,7 +121,6 @@ class SweepSpec:
             raise ValidationError("need at least one label pair")
         self.hbar_grid = grid
         self.label_pairs = pairs
-        self.n_policy = n_policy or default_n_policy
         self.n_cap = int(n_cap)
 
 
@@ -117,6 +138,7 @@ class DecayReport:
     offdiag_x: np.ndarray
     offdiag_p: np.ndarray
     numeric_abs: np.ndarray  # NaN where the cutoff exceeded n_cap
+    n_levels: np.ndarray  # start_cutoff of the pair's larger occupation
     fitted_slope: float
     slope_stderr: float
     expected_slope: float
@@ -190,15 +212,19 @@ def overlap_decay_sweep(spec):
         numov = np.full(hbar.size, math.nan)
         rx = np.empty(hbar.size)
         rp = np.empty(hbar.size)
+        ns = np.empty(hbar.size, dtype=int)
         for i, h in enumerate(hbar):
             absov[i] = abs(overlap_analytic(l1, l2, h))
             rx[i], rp[i] = diagonalization_diagnostic([l1, l2], h, split=True)
-            n = spec.n_policy(h, (l1, l2))
+            # Each state's discarded tail is <= START_TAIL, so by
+            # Cauchy-Schwarz so is the series' truncation error.
+            n = ns[i] = start_cutoff(max(_occupation(l1, h),
+                                         _occupation(l2, h)))
             if n <= spec.n_cap:
                 numov[i] = abs(fock_overlap_series(l1, l2, h, n))
         slope, stderr = _fit_log_decay(hbar, absov)
         expected = -label_separation_sq(l1, l2) / 4.0
-        reports.append(DecayReport((l1, l2), hbar, absov, rx, rp, numov,
+        reports.append(DecayReport((l1, l2), hbar, absov, rx, rp, numov, ns,
                                    slope, stderr, expected))
     return reports
 
@@ -259,7 +285,8 @@ def classical_flow(x0, p0, times, kind="harmonic", lam=0.1, substeps=50):
 @dataclass(frozen=True, eq=False)
 class EmergenceReport:
     """Per-hbar maximum deviation of the quantum coherent-center trajectory
-    from the classical flow, in tilde (classical) units."""
+    from the classical flow, in tilde (classical) units, with the verified
+    Fock cutoff of each hbar and the edge mass reached on it."""
 
     kind: str
     lam: float
@@ -269,6 +296,7 @@ class EmergenceReport:
     hbar: np.ndarray
     max_deviation: np.ndarray
     n_levels: np.ndarray
+    edge_mass: np.ndarray  # fock.edge_mass over the sampled states
     times: np.ndarray
     quantum_x: np.ndarray  # (n_hbar, n_times), tilde units
     quantum_p: np.ndarray
@@ -276,15 +304,45 @@ class EmergenceReport:
     classical_p: np.ndarray
 
 
+def _center_trajectory(tilde, hbar, n_levels, kind, lam, times):
+    """Edge mass and sqrt(hbar)(<X>, <P>) at the sampled times of the state
+    carrying the tilde label, evolved on n_levels Fock levels; the
+    trajectory is None when the edge mass exceeds EDGE_TOL."""
+    psi0 = coherent_amplitudes(unscaled_label(tilde, hbar), n_levels).amplitudes
+    h = sparse_internal_hamiltonian(kind, n_levels, lam_eff=lam * hbar)
+    if times[-1] > 0:
+        states = expm_multiply(-1j * h, psi0, start=0.0, stop=times[-1],
+                               num=times.size, endpoint=True)
+    else:
+        states = psi0[None, :]
+    edge = edge_mass(states)
+    if edge > EDGE_TOL:
+        return edge, None, None
+    x_op, p_op = xp_matrices(ladder_matrix(n_levels))
+    s = math.sqrt(hbar)
+    qx = s * np.sum(states.conj() * (x_op @ states.T).T, axis=1).real
+    qp = s * np.sum(states.conj() * (p_op @ states.T).T, axis=1).real
+    return edge, qx, qp
+
+
 def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
                                    lam=0.1, t_final=2.0, n_samples=101,
-                                   n_policy=None, n_cap=65536):
+                                   n_cap=65536):
     """Evolve |p0/sqrt(hbar), x0/sqrt(hbar)> quantum mechanically for each
     hbar and compare sqrt(hbar)(<X>, <P>) against the classical trajectory
     started from (x0, p0).
 
     Exactly zero mismatch (to numerics) for the harmonic case at every
     hbar; for the quartic case the deviation shrinks with hbar.
+
+    The Fock cutoff N of each hbar starts at :func:`start_cutoff` of the
+    mean occupation mu and grows to 2N - floor(mu) until the edge mass of
+    the sampled states is <= EDGE_TOL; a cutoff above n_cap raises
+    PrecisionError.  The growth doubles the margin above mu, which for
+    mu < 1 is doubling N; at small hbar, where mu is in the hundreds,
+    doubling N would overshoot what the evolved state needs (at most
+    1.65 mu for quartic runs started on the unit circle at hbar = 1e-3),
+    and expm_multiply's cost grows with N.
     """
     if kind not in ("harmonic", "quartic"):
         raise ValidationError("emergence supports harmonic and quartic kinds")
@@ -293,38 +351,35 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
         raise ValidationError("hbar grid must be positive")
     if t_final < 0:
         raise ValidationError("t_final must be >= 0")
-    n_policy = n_policy or default_n_policy
     times = np.linspace(0.0, t_final, n_samples) if t_final > 0 else np.zeros(1)
     cx, cp = classical_flow(x0, p0, times, kind=kind, lam=lam)
     devs = np.empty(len(hbar_grid))
     ns = np.empty(len(hbar_grid), dtype=int)
+    edges = np.empty(len(hbar_grid))
     qx = np.empty((len(hbar_grid), times.size))
     qp = np.empty_like(qx)
     tilde = CoherentLabel(p0, x0)
     for i, hbar in enumerate(hbar_grid):
-        n = n_policy(hbar, (tilde,))
-        if n > n_cap:
-            raise PrecisionError(
-                f"hbar={hbar} needs Fock cutoff {n} > cap {n_cap}")
+        mu = _occupation(tilde, hbar)
+        n = start_cutoff(mu)
+        why = "initial tail"
+        while True:
+            if n > n_cap:
+                raise PrecisionError(f"hbar={hbar} needs Fock cutoff {n} > "
+                                     f"cap {n_cap} ({why})")
+            edges[i], qx_i, qp_i = _center_trajectory(tilde, hbar, n, kind,
+                                                      lam, times)
+            if qx_i is not None:
+                break
+            why = f"edge mass {edges[i]:.2e} > {EDGE_TOL:.0e} at N={n}"
+            n = 2 * n - math.floor(mu)
+        qx[i], qp[i] = qx_i, qp_i
         ns[i] = n
-        internal = unscaled_label(tilde, hbar)
-        psi0 = coherent_amplitudes(internal, n).amplitudes
-        h = sparse_internal_hamiltonian(kind, n, lam_eff=lam * hbar)
-        x_op, p_op = xp_matrices(ladder_matrix(n))
-        if t_final > 0:
-            states = expm_multiply(-1j * h, psi0, start=0.0, stop=t_final,
-                                   num=times.size, endpoint=True)
-        else:
-            states = psi0[None, :]
-        s = math.sqrt(hbar)
-        for k, c in enumerate(states):
-            qx[i, k] = s * float(np.real(np.vdot(c, x_op @ c)))
-            qp[i, k] = s * float(np.real(np.vdot(c, p_op @ c)))
         devs[i] = max(float(np.max(np.abs(qx[i] - cx))),
                       float(np.max(np.abs(qp[i] - cp))))
     return EmergenceReport(kind, lam, float(x0), float(p0), float(t_final),
-                           np.asarray(hbar_grid), devs, ns, times, qx, qp,
-                           cx, cp)
+                           np.asarray(hbar_grid), devs, ns, edges, times, qx,
+                           qp, cx, cp)
 
 
 # --- position-basis contraction -------------------------------------------

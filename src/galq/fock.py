@@ -147,6 +147,16 @@ def variance(op, psi):
     return expectation(sq, psi) - mean**2
 
 
+EDGE_LEVELS = 4
+
+
+def edge_mass(states):
+    """Truncation diagnostic: the largest population in the top EDGE_LEVELS
+    levels over amplitude vectors stacked as rows (one vector also works)."""
+    edge = np.abs(np.atleast_2d(states)[:, -EDGE_LEVELS:]) ** 2
+    return float(np.max(np.sum(edge, axis=1)))
+
+
 def ladder_matrix(n_levels):
     """Annihilation operator a as a sparse banded matrix: sqrt(n) on the
     superdiagonal.  Stored complex, so that X, P and H built from it, sparse

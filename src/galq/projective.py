@@ -21,6 +21,9 @@ from .errors import ValidationError
 from .fock import FockOperator, StateVector, build_hamiltonian, build_xp
 
 METHODS = ("rk4", "symplectic_leapfrog")
+# Largest stable dt * rho(H) / hbar: RK4's stability region meets the
+# imaginary axis at +-2 sqrt(2), leapfrog's at +-2.
+STABILITY_LIMIT = {"rk4": 2.0 * math.sqrt(2.0), "symplectic_leapfrog": 2.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +91,22 @@ class EvolutionSpec:
             raise ValidationError("store_every must be >= 1")
         if self.hbar <= 0:
             raise ValidationError("hbar must be positive")
+        if self.n_steps:
+            self._check_stable()
+
+    def _check_stable(self):
+        """Reject a step outside the method's stability interval, where the
+        integration blows up instead of failing a tolerance."""
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(self.hamiltonian.matrix))))
+        limit = STABILITY_LIMIT[self.method]
+        z = self.dt_actual * rho / self.hbar
+        if z > limit:
+            dt_max = limit * self.hbar / rho
+            unit = 10.0 ** (math.floor(math.log10(dt_max)) - 1)
+            raise ValidationError(
+                f"dt={self.dt:g} is unstable for {self.method}: "
+                f"dt*rho(H)/hbar = {z:.3g} > {limit:.3g}; use dt <= "
+                f"{math.floor(dt_max / unit) * unit:.2g}")
 
     @property
     def n_steps(self):

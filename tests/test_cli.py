@@ -19,6 +19,13 @@ def read(path):
         return fh.read()
 
 
+def strict_json(path):
+    """Parse a JSON file, failing on NaN or infinity."""
+    def reject(name):
+        raise ValueError(f"{name} in {path}")
+    return json.loads(read(path), parse_constant=reject)
+
+
 def test_algebra_verify_defaults(tmp_path):
     assert run(["algebra", "verify", "--outdir", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "algebra_verify.json"))
@@ -115,6 +122,54 @@ def test_evolve_defaults_pass(tmp_path):
         assert header.startswith("t,q_0,") and ",p_23" in header
 
 
+def test_evolve_reports_edge_mass(tmp_path):
+    # population in the top 4 of the 32 levels over the stored states
+    assert run(["evolve", "--kind", "quartic", "--t-final", "1",
+                "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(read(tmp_path / "evolve.json"))
+    rows = [ln for ln in read(tmp_path / "evolve_schrodinger.csv").decode()
+            .splitlines() if not ln.startswith("#")][1:]
+    amps = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
+    pops = (amps[:, :32] ** 2 + amps[:, 32:] ** 2) / 2.0
+    edge = doc["results"]["edge_mass"]
+    assert edge == pytest.approx(np.max(np.sum(pops[:, -4:], axis=1)),
+                                 rel=1e-9)
+    assert 1e-6 < edge < 1e-4
+
+
+def test_evolve_unstable_step_exits_1_without_json(tmp_path, capsys):
+    # dt * rho(H) = 5.6 at N = 128: RK4 would overflow into NaN
+    assert run(["evolve", "--kind", "quartic", "--n-levels", "128",
+                "--outdir", str(tmp_path)]) == 1
+    assert "use dt <= 0.0005" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.json").exists()
+
+
+@pytest.mark.parametrize("argv, cfg_text, message", [
+    (["evolve", "--tol", "nan"], "", "invalid _float value: 'nan'"),
+    (["contract", "sweep", "--hbar-grid", "1,inf"], "",
+     "invalid _floats value: '1,inf'"),
+    (["contract", "sweep", "--pairs", "0,0:nan,1"], "", "pair syntax"),
+    (["evolve"], "t_final = -inf\n", "'-inf' is not finite"),
+])
+def test_nonfinite_input_exits_1_writing_nothing(tmp_path, argv, cfg_text,
+                                                 message, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfg_text)
+    assert run([*argv, "--config", str(cfgfile), "--outdir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_nonfinite_result_is_not_written(tmp_path):
+    cfg = {"outdir": str(tmp_path), "tol": 1e-6}
+    with pytest.raises(cli.GalqError, match=r"results\.a\[1\] is not finite"):
+        cli._write_json(cfg, "x.json", {"a": [1.0, float("nan")]}, True)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_zero_time_single_row(tmp_path):
     assert run(["evolve", "--t-final", "0", "--n-levels", "16",
                 "--outdir", str(tmp_path)]) == 0
@@ -153,6 +208,36 @@ def test_contract_sweep_defaults(tmp_path):
     assert header == "hbar,abs_overlap,offdiag_x,offdiag_p"
 
 
+def test_coherent_overlap_residual_scan_warning(tmp_path):
+    assert run(["coherent", "overlap", "--n-levels", "64", "--grid-points",
+                "3", "--residual-scan", "4,6", "--residual-step", "1.5",
+                "--residual-levels", "4", "--outdir", str(tmp_path)]) == 0
+    scan = json.loads(read(tmp_path / "coherent_overlap.json"))[
+        "results"]["residual_scan"]
+    assert [r[:2] for r in scan] == [[4.0, 1.5], [6.0, 1.5]]
+    assert all("too coarse" in r[3] for r in scan)
+    lines = read(tmp_path / "coherent_residual_scan.csv").decode().splitlines()
+    assert [ln.count(",") for ln in lines if not ln.startswith("#")] == [2] * 3
+
+
+def test_contract_sweep_two_point_grid_has_no_stderr(tmp_path):
+    # two points fit the slope exactly: there is no standard error
+    assert run(["contract", "sweep", "--hbar-grid", "1,0.5",
+                "--outdir", str(tmp_path)]) == 0
+    doc = strict_json(tmp_path / "contract_sweep.json")
+    pair = doc["results"]["pairs"][0]
+    assert pair["slope_stderr"] is None and pair["pass"] is True
+
+
+def test_contract_classical_zero_deviation_has_no_ratio(tmp_path):
+    # parity keeps <X> and <P> of the vacuum at 0, as in the classical flow
+    assert run(["contract", "classical", "--kind", "quartic", "--x0", "0",
+                "--p0", "0", "--outdir", str(tmp_path)]) == 0
+    res = strict_json(tmp_path / "contract_classical.json")["results"]
+    assert res["max_deviation"] == [0.0] * 4
+    assert res["first_to_last_ratio"] is None and res["nonincreasing"]
+
+
 def test_contract_sweep_same_pair_exits_1(tmp_path):
     assert run(["contract", "sweep", "--pairs", "same",
                 "--outdir", str(tmp_path)]) == 1
@@ -164,6 +249,8 @@ def test_contract_classical_harmonic(tmp_path):
     doc = json.loads(read(tmp_path / "contract_classical.json"))
     assert doc["pass"] is True
     assert max(doc["results"]["max_deviation"]) <= 1e-6
+    assert doc["results"]["n_levels"] == [16, 52, 108]
+    assert max(doc["results"]["edge_mass"]) <= 1e-10
     lines = read(tmp_path / "contract_classical.csv").decode().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "hbar,max_traj_dev"

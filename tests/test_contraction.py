@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammainc
 
 from galq import coherent, contraction, fock, projective
 from galq.coherent import CoherentLabel
 from galq.errors import (DegenerateFitError, PrecisionError, ValidationError)
 
 GRID = contraction.DEFAULT_HBAR_GRID
+
+
+def occupation(*labels):
+    """Largest mean Fock occupation |alpha|^2 over internal labels."""
+    return max(float(np.sum(np.abs(lab.alpha) ** 2)) for lab in labels)
 
 
 def test_relabel_examples():
@@ -36,7 +44,7 @@ def test_relabeled_expectations():
     hbar = 0.04
     tilde = CoherentLabel(0.6, -0.8)
     internal = contraction.unscaled_label(tilde, hbar)
-    n_levels = contraction.default_n_policy(hbar, (tilde,))
+    n_levels = contraction.start_cutoff(occupation(internal))
     psi = coherent.coherent_state(internal, n_levels)
     x_op, p_op = fock.build_xp(n_levels, 1.0)  # internal units
     assert math.sqrt(hbar) * fock.expectation(x_op, psi) == pytest.approx(
@@ -98,17 +106,45 @@ def test_numeric_overlap_routes_agree():
     for hbar in (1.0, 0.2):
         l1 = CoherentLabel(0.2, -0.4)
         l2 = CoherentLabel(-0.3, 0.6)
-        n_levels = contraction.default_n_policy(hbar, (l1, l2))
-        u1 = coherent.displacement(contraction.unscaled_label(l1, hbar),
-                                   n_levels)
-        u2 = coherent.displacement(contraction.unscaled_label(l2, hbar),
-                                   n_levels)
+        i1 = contraction.unscaled_label(l1, hbar)
+        i2 = contraction.unscaled_label(l2, hbar)
+        n_levels = contraction.start_cutoff(occupation(i1, i2))
+        u1 = coherent.displacement(i1, n_levels)
+        u2 = coherent.displacement(i2, n_levels)
         vac = fock.vacuum(n_levels).amplitudes
         brute = complex(np.vdot(u1.matrix @ vac, u2.matrix @ vac))
         series = contraction.fock_overlap_series(l1, l2, hbar, n_levels)
         kernel = coherent.overlap_analytic(l1, l2, hbar)
         assert abs(brute - series) <= 1e-10
         assert abs(brute - kernel) <= 1e-8
+
+
+@given(st.floats(min_value=0.0, max_value=5000.0))
+def test_start_cutoff_is_smallest_poisson_quantile(mu):
+    n = contraction.start_cutoff(mu)
+    assert n >= contraction.MIN_LEVELS
+    assert gammainc(n, mu) <= contraction.START_TAIL
+    assert n == contraction.MIN_LEVELS or gammainc(n - 1, mu) > \
+        contraction.START_TAIL
+
+
+def test_start_cutoff_values():
+    # mu = 500 is the default hbar = 1e-3 point of `contract classical`
+    assert [contraction.start_cutoff(mu) for mu in (0.0, 0.5, 5.0, 50.0, 500.0)] \
+        == [16, 16, 28, 108, 666]
+    with pytest.raises(ValidationError):
+        contraction.start_cutoff(math.nan)
+
+
+def test_sweep_reports_start_cutoff():
+    l1, l2 = CoherentLabel(0.0, 0.0), CoherentLabel(1.0, 0.5)
+    rep = contraction.overlap_decay_sweep(
+        contraction.SweepSpec((1.0, 0.01), [(l1, l2)], n_cap=100))[0]
+    mus = [occupation(contraction.unscaled_label(l2, h)) for h in rep.hbar]
+    assert rep.n_levels.tolist() == [contraction.start_cutoff(m) for m in mus]
+    # the hbar = 0.01 cutoff passes n_cap: no numeric value there
+    assert rep.n_levels[1] > 100 and math.isnan(rep.numeric_abs[1])
+    assert abs(rep.numeric_abs[0] - rep.abs_overlap[0]) <= 1e-12
 
 
 def test_degenerate_pair_rejected():
@@ -175,6 +211,42 @@ def test_quartic_emergence_improves_with_hbar():
         1.0, 0.0, [1.0, 0.1, 0.01], kind="quartic", lam=0.1, t_final=2.0)
     assert np.all(np.diff(rep.max_deviation) < 0)
     assert rep.max_deviation[0] / rep.max_deviation[-1] >= 10.0
+
+
+def test_quartic_emergence_cutoff_verified_at_hbar_1():
+    # the start cutoff (16) leaves edge mass 2e-3 here; with mu = 0.5 the
+    # growth is plain doubling, which ends at 128, where the edge mass
+    # first falls below EDGE_TOL
+    rep = contraction.classical_trajectory_emergence(
+        1.0, 0.0, [1.0], kind="quartic", lam=0.1, t_final=2.0)
+    assert rep.n_levels[0] >= 128
+    assert rep.edge_mass[0] <= contraction.EDGE_TOL
+    with pytest.raises(PrecisionError, match="edge mass"):
+        contraction.classical_trajectory_emergence(
+            1.0, 0.0, [1.0], kind="quartic", lam=0.1, t_final=2.0, n_cap=64)
+
+
+def test_quartic_emergence_matches_twice_the_cutoff():
+    hbar, lam = 0.01, 0.1
+    rep = contraction.classical_trajectory_emergence(
+        1.0, 0.0, [hbar], kind="quartic", lam=lam, t_final=2.0)
+    assert rep.edge_mass[0] <= contraction.EDGE_TOL
+    # the start (108) fails; one step doubles its margin above mu (~50)
+    internal = contraction.unscaled_label(CoherentLabel(0.0, 1.0), hbar)
+    mu = occupation(internal)
+    assert rep.n_levels[0] == 2 * contraction.start_cutoff(mu) - math.floor(mu)
+    # independent rerun at 2N with the dense builders
+    n = 2 * int(rep.n_levels[0])
+    psi0 = coherent.coherent_amplitudes(internal, n).amplitudes
+    h = fock.build_hamiltonian("quartic", n, 1.0, lam=lam * hbar).matrix
+    states = expm_multiply(-1j * h, psi0, start=0.0, stop=2.0,
+                           num=rep.times.size, endpoint=True)
+    x_op, p_op = fock.build_xp(n, 1.0)
+    s = math.sqrt(hbar)
+    qx = s * np.einsum("ti,ij,tj->t", states.conj(), x_op.matrix, states).real
+    qp = s * np.einsum("ti,ij,tj->t", states.conj(), p_op.matrix, states).real
+    assert np.max(np.abs(qx - rep.quantum_x[0])) <= 1e-9
+    assert np.max(np.abs(qp - rep.quantum_p[0])) <= 1e-9
 
 
 def test_emergence_zero_time():

@@ -52,6 +52,21 @@ def test_spec_validation():
     projective.EvolutionSpec(h, 0.0, 0.1)  # t_final = 0 is a valid no-op
 
 
+def test_spec_rejects_unstable_step():
+    # the RK4 amplification 1 + z + ... + z^4/4! has modulus 1 at z = i*limit
+    y = projective.STABILITY_LIMIT["rk4"]
+    assert abs(sum((1j * y) ** k / math.factorial(k) for k in range(5))) \
+        == pytest.approx(1.0, abs=1e-12)
+    h = fock.FockOperator(4, 2.0 * np.eye(4))  # rho(H) = 2
+    projective.EvolutionSpec(h, 10.0, 1.0, method="symplectic_leapfrog")
+    projective.EvolutionSpec(h, 10.0, 1.25)  # dt * rho = 2.5 < 2 sqrt(2)
+    with pytest.raises(ValidationError, match="use dt <= 1"):
+        projective.EvolutionSpec(h, 10.0, 1.25, method="symplectic_leapfrog")
+    with pytest.raises(ValidationError, match="use dt <= 1.4"):
+        projective.EvolutionSpec(h, 10.0, 2.0)
+    projective.EvolutionSpec(h, 0.0, 2.0)  # no step is taken
+
+
 def test_eigenstate_is_stationary_ray():
     n_levels = 32
     h = fock.build_hamiltonian("harmonic", n_levels)
