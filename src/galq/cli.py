@@ -247,17 +247,22 @@ def _config_lines(cfg):
 
 
 def _write_csv(cfg, name, header, rows):
-    """Plot-ready CSV; none is written under --format json."""
+    """Plot-ready CSV; none is written under --format json.  rows is a 2-D
+    float array, or a list of rows of numbers and strings."""
     if cfg["format"] == "json":
         return
+    if isinstance(rows, np.ndarray):
+        lines = (",".join(map(repr, row.tolist())) for row in rows)
+    else:
+        lines = (",".join(_fmt(v) if not isinstance(v, str) else v
+                          for v in row) for row in rows)
     path = os.path.join(cfg["outdir"], name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in _config_lines(cfg):
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
     return path
 
 
@@ -272,15 +277,22 @@ def _nonfinite_key(obj, key):
     return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
 
 
+def _check_finite(name, results):
+    """Raise before anything is written when the results hold a NaN or
+    infinity (the config cannot hold one: _float rejects them).  Runners
+    call it before their first output file."""
+    bad = _nonfinite_key(_jsonable(results), "results")
+    if bad is not None:
+        raise GalqError(f"{name} not written: {bad} is not finite")
+
+
 def _write_json(cfg, name, results, ok):
     """Strict JSON: a NaN or infinity in the results raises instead of
-    being written (the config cannot hold one: _float rejects them)."""
+    being written."""
+    _check_finite(name, results)
     path = os.path.join(cfg["outdir"], name)
     doc = {"config": _jsonable(cfg), "results": _jsonable(results),
            "pass": bool(ok)}
-    bad = _nonfinite_key(doc["results"], "results")
-    if bad is not None:
-        raise GalqError(f"{name} not written: {bad} is not finite")
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
@@ -340,6 +352,7 @@ def run_algebra_verify(cfg):
     results["worst_identity"] = worst[0]
     results["worst_residual"] = worst[1]
     results["tolerance"] = tol
+    _check_finite("algebra_verify.json", results)
     path = os.path.join(cfg["outdir"], "algebra_tables.txt")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in _config_lines(cfg):
@@ -394,10 +407,11 @@ def run_coset_orbit(cfg):
             for i in range(1, steps + 1):
                 pt = coset.exp_phase_action(e, pt, t=dt)
                 rows.append([i, *pt.p, *pt.x, pt.theta])
-    _write_csv(cfg, "coset_orbit.csv", header, rows)
     results = {"n_rows": len(rows), "columns": header,
                "final_row": rows[-1][1:],
                "rows": rows if cfg["format"] == "json" else None}
+    _check_finite("coset_orbit.json", results)
+    _write_csv(cfg, "coset_orbit.csv", header, rows)
     _write_json(cfg, "coset_orbit.json", results, True)
     print(f"coset orbit: {kind}, {steps} steps -> PASS")
 
@@ -428,8 +442,6 @@ def run_coherent_overlap(cfg):
             self_ov = coherent.overlap_analytic(l2, l2, hbar)
             worst_self = max(worst_self, abs(self_ov - 1.0))
     ok = worst_self <= 1e-10 and (not check or worst_gap <= cfg["tol"])
-    _write_csv(cfg, "coherent_overlap.csv",
-               ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)
     scan = None
     if cfg["residual_scan"]:
         radii = _floats(cfg["residual_scan"])
@@ -439,13 +451,17 @@ def run_coherent_overlap(cfg):
                 n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
             scan.append([radius, cfg["residual_step"], res.residual,
                          res.warning])
-        _write_csv(cfg, "coherent_residual_scan.csv",
-                   ["radius", "step", "residual"], [r[:3] for r in scan])
     results = {"max_numeric_gap": worst_gap if check else None,
                "max_self_overlap_error": worst_self,
                "n_pairs": len(rows),
                "residual_scan": scan,
                "rows": rows if cfg["format"] == "json" else None}
+    _check_finite("coherent_overlap.json", results)
+    _write_csv(cfg, "coherent_overlap.csv",
+               ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)
+    if scan is not None:
+        _write_csv(cfg, "coherent_residual_scan.csv",
+                   ["radius", "step", "residual"], [r[:3] for r in scan])
     _write_json(cfg, "coherent_overlap.json", results, ok)
     print(f"coherent overlap: numeric gap "
           f"{worst_gap:.3e} -> {'PASS' if ok else 'FAIL'}")
@@ -475,29 +491,28 @@ def run_evolve(cfg):
     x_op, p_op = fock.build_xp(n, 1.0)
     _, ray_sens = projective.ray_invariants(psi0, x_op, p_op, h_op,
                                             seed=cfg["seed"])
-    if cfg["format"] != "json":
-        coord_header = (["t"] + [f"q_{i}" for i in range(n)]
-                        + [f"p_{i}" for i in range(n)])
-        s = math.sqrt(2.0)
-        _write_csv(cfg, "evolve_schrodinger.csv", coord_header,
-                   [[t, *(s * st.real), *(s * st.imag)]
-                    for t, st in zip(straj.times, straj.states)])
-        _write_csv(cfg, "evolve_hamilton.csv", coord_header,
-                   [[t, *q, *p] for t, q, p
-                    in zip(ctraj.times, ctraj.q, ctraj.p)])
-        xs = straj.expectation_series(x_op)
-        ps = straj.expectation_series(p_op)
-        es = straj.expectation_series(h_op)
-        _write_csv(cfg, "evolve_observables.csv",
-                   ["t", "x", "p", "h", "norm"],
-                   [[t, xv, pv, ev, nv] for t, xv, pv, ev, nv
-                    in zip(straj.times, xs, ps, es, norms)])
     ok = (deviation <= cfg["tol"] and norm_drift <= 1e-8
           and energy_drift <= 1e-8 and ray_sens <= 1e-12)
     results = {"max_deviation": deviation, "norm_drift": norm_drift,
                "energy_drift": energy_drift, "ray_sensitivity": ray_sens,
                "n_samples": int(straj.times.size),
                "edge_mass": fock.edge_mass(straj.states)}
+    _check_finite("evolve.json", results)
+    if cfg["format"] != "json":
+        coord_header = (["t"] + [f"q_{i}" for i in range(n)]
+                        + [f"p_{i}" for i in range(n)])
+        s = math.sqrt(2.0)
+        _write_csv(cfg, "evolve_schrodinger.csv", coord_header,
+                   np.column_stack((straj.times, s * straj.states.real,
+                                    s * straj.states.imag)))
+        _write_csv(cfg, "evolve_hamilton.csv", coord_header,
+                   np.column_stack((ctraj.times, ctraj.q, ctraj.p)))
+        _write_csv(cfg, "evolve_observables.csv",
+                   ["t", "x", "p", "h", "norm"],
+                   np.column_stack((straj.times,
+                                    straj.expectation_series(x_op),
+                                    straj.expectation_series(p_op),
+                                    straj.expectation_series(h_op), norms)))
     _write_json(cfg, "evolve.json", results, ok)
     print(f"evolve: deviation {deviation:.3e}, norm drift {norm_drift:.3e}, "
           f"energy drift {energy_drift:.3e} -> {'PASS' if ok else 'FAIL'}")
@@ -530,11 +545,6 @@ def run_contract_sweep(cfg):
     ok = True
     summary = []
     for i, rep in enumerate(reports):
-        _write_csv(cfg, f"contract_sweep_pair{i}.csv",
-                   ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
-                   [[h, ov, rx, rp] for h, ov, rx, rp
-                    in zip(rep.hbar, rep.abs_overlap, rep.offdiag_x,
-                           rep.offdiag_p)])
         gap = rep.max_numeric_gap
         entry = {"pair_index": i,
                  "labels": {"p1": rep.pair[0].p[0], "x1": rep.pair[0].x[0],
@@ -552,6 +562,13 @@ def run_contract_sweep(cfg):
         entry["pass"] = pair_ok
         ok = ok and pair_ok
         summary.append(entry)
+    _check_finite("contract_sweep.json", {"pairs": summary})
+    for i, rep in enumerate(reports):
+        _write_csv(cfg, f"contract_sweep_pair{i}.csv",
+                   ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
+                   [[h, ov, rx, rp] for h, ov, rx, rp
+                    in zip(rep.hbar, rep.abs_overlap, rep.offdiag_x,
+                           rep.offdiag_p)])
     _write_json(cfg, "contract_sweep.json", {"pairs": summary}, ok)
     for entry in summary:
         print(f"contract sweep pair {entry['pair_index']}: slope "
@@ -562,11 +579,14 @@ def run_contract_sweep(cfg):
 
 
 def run_contract_classical(cfg):
+    if cfg["kind"] == "quartic" and cfg["t_final"] == 0:
+        # every deviation is then roundoff, and their ratio means nothing
+        raise ValidationError(
+            "--t-final must be > 0 for --kind quartic: at t = 0 there is "
+            "no dynamics to compare")
     rep = contraction.classical_trajectory_emergence(
         cfg["x0"], cfg["p0"], cfg["hbar_grid"], kind=cfg["kind"],
         lam=cfg["lam"], t_final=cfg["t_final"])
-    _write_csv(cfg, "contract_classical.csv", ["hbar", "max_traj_dev"],
-               [[h, d] for h, d in zip(rep.hbar, rep.max_deviation)])
     results = {"hbar": rep.hbar, "max_deviation": rep.max_deviation,
                "n_levels": rep.n_levels, "edge_mass": rep.edge_mass}
     if cfg["kind"] == "harmonic":
@@ -582,6 +602,9 @@ def run_contract_classical(cfg):
         results["nonincreasing"] = mono
         results["criterion"] = (f"deviation ratio >= {_fmt(cfg['min_ratio'])} "
                                 "and nonincreasing")
+    _check_finite("contract_classical.json", results)
+    _write_csv(cfg, "contract_classical.csv", ["hbar", "max_traj_dev"],
+               [[h, d] for h, d in zip(rep.hbar, rep.max_deviation)])
     _write_json(cfg, "contract_classical.json", results, ok)
     print(f"contract classical ({cfg['kind']}): deviations "
           + " ".join(f"{d:.3e}" for d in rep.max_deviation)

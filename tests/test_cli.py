@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from galq import cli, fock
+from galq import cli, fock, projective
 
 
 def run(args):
@@ -170,6 +170,16 @@ def test_nonfinite_result_is_not_written(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_nonfinite_evolve_result_writes_no_file(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setattr(projective, "trajectory_deviation",
+                        lambda straj, ctraj: float("nan"))
+    assert run(["evolve", "--t-final", "0.1", "--n-levels", "16",
+                "--outdir", str(tmp_path)]) == 1
+    assert "results.max_deviation is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_zero_time_single_row(tmp_path):
     assert run(["evolve", "--t-final", "0", "--n-levels", "16",
                 "--outdir", str(tmp_path)]) == 0
@@ -236,6 +246,20 @@ def test_contract_classical_zero_deviation_has_no_ratio(tmp_path):
     res = strict_json(tmp_path / "contract_classical.json")["results"]
     assert res["max_deviation"] == [0.0] * 4
     assert res["first_to_last_ratio"] is None and res["nonincreasing"]
+
+
+def test_contract_classical_quartic_zero_time_exits_1(tmp_path, capsys):
+    # every deviation at t = 0 is roundoff: no ratio to judge
+    assert run(["contract", "classical", "--kind", "quartic", "--t-final",
+                "0", "--outdir", str(tmp_path)]) == 1
+    assert "--t-final must be > 0 for --kind quartic" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_contract_classical_harmonic_zero_time_passes(tmp_path):
+    assert run(["contract", "classical", "--t-final", "0",
+                "--outdir", str(tmp_path)]) == 0
+    assert strict_json(tmp_path / "contract_classical.json")["pass"] is True
 
 
 def test_contract_sweep_same_pair_exits_1(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from galq import coherent, fock, projective
 from galq.errors import ValidationError
@@ -254,3 +255,92 @@ def test_ray_invariants_vacuum():
     assert base[1] == pytest.approx(0.0, abs=1e-14)
     assert base[2] == pytest.approx(0.5, abs=1e-12)
     assert sens <= 1e-12
+
+
+def loop_amplitudes(h, c, spec):
+    """Reference RK4 on the amplitudes, one explicit step at a time."""
+    factor, dt = -1j / spec.hbar, spec.dt_actual
+    out = [c]
+    for _ in range(spec.n_steps):
+        k1 = factor * (h @ c)
+        k2 = factor * (h @ (c + 0.5 * dt * k1))
+        k3 = factor * (h @ (c + 0.5 * dt * k2))
+        k4 = factor * (h @ (c + dt * k3))
+        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(c)
+    return np.array(out)
+
+
+def loop_coordinates(h, q, p, spec):
+    """Reference RK4 or leapfrog on (q, p), one explicit step at a time."""
+    a, b, hbar, dt = h.real, h.imag, spec.hbar, spec.dt_actual
+
+    def rhs(qv, pv):
+        return (a @ pv + b @ qv) / hbar, (b @ pv - a @ qv) / hbar
+
+    out = [np.concatenate((q, p))]
+    for _ in range(spec.n_steps):
+        if spec.method == "symplectic_leapfrog":
+            p_half = p - (0.5 * dt / hbar) * (a @ q)
+            q = q + (dt / hbar) * (a @ p_half)
+            p = p_half - (0.5 * dt / hbar) * (a @ q)
+        else:
+            k1q, k1p = rhs(q, p)
+            k2q, k2p = rhs(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
+            k3q, k3p = rhs(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
+            k4q, k4p = rhs(q + dt * k3q, p + dt * k3p)
+            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        out.append(np.concatenate((q, p)))
+    return np.array(out)
+
+
+@given(method=st.sampled_from(projective.METHODS),
+       n_levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       n_steps=st.integers(0, 40), store_every=st.integers(1, 45),
+       dt=st.floats(0.01, 0.5), hbar=st.floats(0.5, 2.0),
+       stiffness=st.floats(0.05, 0.95))
+@example(method="rk4", n_levels=4, seed=1, n_steps=0, store_every=1, dt=0.1,
+         hbar=1.0, stiffness=0.5)
+@example(method="rk4", n_levels=4, seed=2, n_steps=23, store_every=5,
+         dt=0.1, hbar=1.0, stiffness=0.5)
+@example(method="symplectic_leapfrog", n_levels=4, seed=3, n_steps=23,
+         store_every=5, dt=0.1, hbar=1.0, stiffness=0.5)
+def test_propagators_match_explicit_step_loop(method, n_levels, seed, n_steps,
+                                              store_every, dt, hbar,
+                                              stiffness):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n_levels, n_levels))
+    if method == "rk4":
+        m = m + 1j * rng.normal(size=(n_levels, n_levels))
+    m = m + m.conj().T
+    # dt * rho(H) / hbar = stiffness * the method's stability limit
+    rho = np.max(np.abs(np.linalg.eigvalsh(m)))
+    h = m * (stiffness * projective.STABILITY_LIMIT[method] * hbar
+             / (dt * rho))
+    spec = projective.EvolutionSpec(fock.FockOperator(n_levels, h),
+                                    n_steps * dt, dt, method=method,
+                                    hbar=hbar, store_every=store_every)
+    idx, times = projective._sample_times(spec)
+    assert idx.tolist() == sorted({*range(0, n_steps + 1, store_every),
+                                   n_steps})
+    amps = rng.normal(size=n_levels) + 1j * rng.normal(size=n_levels)
+    psi0 = fock.StateVector(n_levels, amps)
+    c0 = projective.to_coordinates(psi0, hbar)
+
+    def close(got, want):
+        scale = 1.0 + np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    ref = loop_coordinates(h, c0.q, c0.p, spec)[idx]
+    ctraj = projective.hamilton_evolve(c0, spec)
+    np.testing.assert_array_equal(ctraj.times, times)
+    close(np.concatenate((ctraj.q, ctraj.p), axis=1), ref)
+    straj = projective.schrodinger_evolve(psi0, spec)
+    np.testing.assert_array_equal(straj.times, times)
+    assert straj.states.shape == (len(idx), n_levels)
+    if method == "rk4":
+        close(straj.states, loop_amplitudes(h, psi0.amplitudes, spec)[idx])
+    else:  # leapfrog's amplitude side is the coordinate flow, mapped back
+        close(straj.states, (ref[:, :n_levels] + 1j * ref[:, n_levels:])
+              / math.sqrt(2.0 * hbar))
