@@ -419,6 +419,9 @@ def run_coset_orbit(cfg):
 def run_coherent_overlap(cfg):
     n = cfg["n_levels"]
     hbar = cfg["hbar"]
+    if cfg["grid_points"] < 1:
+        raise ValidationError(
+            f"--grid-points must be >= 1, got {cfg['grid_points']}")
     pts = np.linspace(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
     l1 = coherent.CoherentLabel(cfg["p1"], cfg["x1"])
     rows = []

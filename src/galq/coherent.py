@@ -22,7 +22,8 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .errors import PrecisionError, ValidationError
-from .fock import FockOperator, StateVector, build_xp, expi_hermitian, vacuum
+from .fock import FockOperator, StateVector, position_basis
+from .fock import build_xp  # noqa: F401  (kept in this namespace for callers)
 
 
 def _axis_vec(v, d, name):
@@ -73,20 +74,39 @@ def label_sum(l1, l2):
     return CoherentLabel(l1.p + l2.p, l1.x + l2.x, l1.theta + l2.theta, l1.d)
 
 
+def _check_axis(label, n_levels):
+    if label.d != 1:
+        raise ValidationError("displacement operators are built per axis (d=1)")
+    if n_levels < 2:
+        raise ValidationError("need at least 2 levels")
+
+
+def _displaced_columns(label, n_levels, n_cols):
+    """Columns 0..n_cols-1 of U = exp(i(p X - x P + theta I)).
+
+    With r = hypot(p, x) and phi = atan2(-x, p), p X - x P is
+    r e^{i phi N} X e^{-i phi N}, exactly on the truncated space too
+    (e^{i phi N} a e^{-i phi N} = e^{-i phi} a), so
+    U = e^{i theta} e^{i phi N} V e^{i r lam} V^T e^{-i phi N} with the
+    cached real position basis X = V diag(lam) V^T.
+    """
+    lam, vecs = position_basis(n_levels)
+    p, x = float(label.p[0]), float(label.x[0])
+    rot = np.exp(1j * math.atan2(-x, p) * np.arange(n_levels))
+    right = np.exp(1j * math.hypot(p, x) * lam)[:, None] \
+        * (vecs[:n_cols].T * rot[:n_cols].conj())
+    return np.exp(1j * label.theta) * rot[:, None] * (vecs @ right)
+
+
 def displacement(label, n_levels):
     """Unitary U = exp(i(p X - x P + theta I)) on the truncated space.
 
     Single-axis labels only; multi-axis operators are Kronecker products of
     these and are not needed quantitatively.
     """
-    if label.d != 1:
-        raise ValidationError("displacement operators are built per axis (d=1)")
-    if n_levels < 2:
-        raise ValidationError("need at least 2 levels")
-    x_op, p_op = build_xp(n_levels, hbar=1.0)
-    gen = (label.p[0] * x_op.matrix - label.x[0] * p_op.matrix
-           + label.theta * np.eye(n_levels))
-    return FockOperator(n_levels, expi_hermitian(gen), 1.0, "U")
+    _check_axis(label, n_levels)
+    return FockOperator(n_levels, _displaced_columns(label, n_levels, n_levels),
+                        1.0, "U")
 
 
 def coherent_tail_mass(label, n_levels):
@@ -98,18 +118,21 @@ def coherent_tail_mass(label, n_levels):
 def coherent_state(label, n_levels, tail_tol=1e-12):
     """U(label)|0>, guarded so the discarded Fock tail stays below tail_tol.
 
-    Pass tail_tol=None to skip the guard (e.g. for deliberately lossy
-    truncation studies).
+    Only the vacuum column of U is computed.  Pass tail_tol=None to skip
+    the guard (e.g. for deliberately lossy truncation studies).
     """
+    _check_axis(label, n_levels)
     if tail_tol is not None:
+        if not (math.isfinite(tail_tol) and tail_tol >= 0):
+            raise ValidationError(
+                f"tail_tol must be None or finite and >= 0, got {tail_tol!r}")
         tail = coherent_tail_mass(label, n_levels)
         if tail > tail_tol:
             raise PrecisionError(
                 f"Fock cutoff {n_levels} keeps tail mass ~{tail:.3e} "
                 f"above tail_tol={tail_tol:.1e} for |alpha|^2="
                 f"{float(np.sum(np.abs(label.alpha)**2)):.3f}")
-    u = displacement(label, n_levels)
-    return StateVector(n_levels, u.matrix @ vacuum(n_levels).amplitudes)
+    return StateVector(n_levels, _displaced_columns(label, n_levels, 1)[:, 0])
 
 
 def _log_space_amplitudes(alpha, n_levels):

@@ -12,10 +12,12 @@ P.  All contraction-related hbar bookkeeping lives in galq.contraction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
 
@@ -216,6 +218,21 @@ def build_xp(n_levels, hbar=1.0):
     x, p = xp_matrices(ladder_matrix(n_levels).toarray(), hbar)
     return (FockOperator(n_levels, x, hbar, "X"),
             FockOperator(n_levels, p, hbar, "P"))
+
+
+@functools.lru_cache(maxsize=4)
+def position_basis(n_levels):
+    """Eigendecomposition X = V diag(lam) V^T of the truncated hbar = 1
+    position operator, cached per cutoff: (lam, V), both read-only.
+
+    X from :func:`xp_matrices` is real tridiagonal, the Jacobi matrix of
+    the Hermite polynomials, so lam are the zeros of H_N (Golub-Welsch).
+    """
+    x, _ = xp_matrices(ladder_matrix(n_levels))
+    lam, vecs = eigh_tridiagonal(np.zeros(n_levels), x.diagonal(1).real)
+    lam.setflags(write=False)
+    vecs.setflags(write=False)
+    return lam, vecs
 
 
 def commutator_defect(x_op, p_op):

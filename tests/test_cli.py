@@ -163,6 +163,16 @@ def test_nonfinite_input_exits_1_writing_nothing(tmp_path, argv, cfg_text,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_coherent_overlap_empty_grid_exits_1(tmp_path, points, capsys):
+    # an empty grid would check no pair and report a vacuous pass
+    out = tmp_path / "out"
+    assert run(["coherent", "overlap", "--grid-points", points,
+                "--outdir", str(out)]) == 1
+    assert "--grid-points must be >= 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_nonfinite_result_is_not_written(tmp_path):
     cfg = {"outdir": str(tmp_path), "tol": 1e-6}
     with pytest.raises(cli.GalqError, match=r"results\.a\[1\] is not finite"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy.special import gammaincinv
 
 from galq import coherent, fock
 from galq.errors import PrecisionError, ValidationError
@@ -54,6 +56,57 @@ def test_ordered_product_equals_single_exponential():
                    * fock.expi_hermitian(p_op.matrix, -x)
                    @ fock.expi_hermitian(x_op.matrix, p))
         assert np.max(np.abs((single - ordered)[:, :16])) <= 1e-10
+
+
+@st.composite
+def guarded_labels(draw):
+    """(n_levels, p, x, theta) with N in 2..160, the label anywhere in the
+    phase plane inside the tail guard at that N."""
+    n = draw(st.integers(2, 160))
+    mu = draw(st.floats(0.0, 0.99)) * gammaincinv(n, 1e-12)
+    angle = draw(st.floats(-math.pi, math.pi))
+    r = math.sqrt(2.0 * mu)  # |alpha|^2 = (p^2 + x^2)/2
+    return n, r * math.cos(angle), r * math.sin(angle), \
+        draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+
+
+@given(guarded_labels())
+@example((64, 0.0, 0.0, 0.0))
+@example((64, 0.0, 0.0, 1.3))
+@example((64, 2.5, 0.0, 0.0))
+@example((64, -2.5, 0.0, 0.0))
+@example((64, 0.0, 2.5, 0.0))
+@example((64, 0.0, -2.5, 0.0))
+@example((2, 1e-3, -5e-4, 0.7))
+def test_rotated_position_basis_matches_generator_exponential(case):
+    n_levels, p, x, theta = case
+    lab = coherent.CoherentLabel(p, x, theta)
+    x_op, p_op = fock.build_xp(n_levels, 1.0)
+    ref = fock.expi_hermitian(p * x_op.matrix - x * p_op.matrix
+                              + theta * np.eye(n_levels))
+    u = coherent.displacement(lab, n_levels).matrix
+    state = coherent.coherent_state(lab, n_levels).amplitudes
+    assert np.max(np.abs(u - ref)) <= 1e-12
+    assert np.max(np.abs(state - ref[:, 0])) <= 1e-12
+    assert coherent.coherent_state(lab, n_levels).amplitudes.tobytes() \
+        == state.tobytes()
+    assert coherent.displacement(lab, n_levels).matrix.tobytes() == u.tobytes()
+
+
+def test_coherent_state_argument_checks():
+    lab = coherent.CoherentLabel(0.5, -0.5)
+    for n_levels in (0, 1):
+        with pytest.raises(ValidationError, match="at least 2 levels"):
+            coherent.coherent_state(lab, n_levels)
+    for tol in (float("nan"), float("inf"), -1e-12):
+        with pytest.raises(ValidationError, match="tail_tol"):
+            coherent.coherent_state(lab, 32, tail_tol=tol)
+    two_axis = coherent.CoherentLabel([0.0, 0.0], [0.0, 0.0], d=2)
+    with pytest.raises(ValidationError, match="per axis"):
+        coherent.coherent_state(two_axis, 32)
+    # a zero tolerance is a valid (strict) guard
+    with pytest.raises(PrecisionError):
+        coherent.coherent_state(lab, 32, tail_tol=0.0)
 
 
 def test_coherent_state_at_origin_is_vacuum():
@@ -189,6 +242,46 @@ def test_matrix_elements_match_brute_force():
         mx, mp = coherent.matrix_element_xp(l1, l2, 1.0)
         worst = max(worst, abs(mx - bx), abs(mp - bp))
     assert worst <= 1e-8
+
+
+def _labels(d):
+    coords = st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)
+    return st.builds(lambda p, x, theta: coherent.CoherentLabel(p, x, theta, d),
+                     coords, coords, st.floats(-math.pi, math.pi))
+
+
+@given(st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(_labels(d),
+                                                            _labels(d))),
+       st.floats(0.05, 5.0))
+def test_kernels_are_hermitian(pair, hbar):
+    l1, l2 = pair
+    ov12 = coherent.overlap_analytic(l1, l2, hbar)
+    assert abs(ov12 - coherent.overlap_analytic(l2, l1, hbar).conjugate()) \
+        <= 1e-15
+    for m12, m21 in zip(coherent.matrix_element_xp(l1, l2, hbar),
+                        coherent.matrix_element_xp(l2, l1, hbar)):
+        assert np.max(np.abs(m12 - np.conj(m21))) <= 1e-14
+
+
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                          st.floats(-math.pi, math.pi)),
+                min_size=2, max_size=4))
+def test_numeric_kernels_are_hermitian(coords):
+    n_levels = 128
+    x_op, p_op = fock.build_xp(n_levels, 1.0)
+    labels = [coherent.CoherentLabel(*c) for c in coords]
+    states = np.stack([coherent.coherent_state(lab, n_levels).amplitudes
+                       for lab in labels])
+    numeric = [states.conj() @ op @ states.T
+               for op in (np.eye(n_levels), x_op.matrix, p_op.matrix)]
+    for i, li in enumerate(labels):
+        for j, lj in enumerate(labels):
+            # <li|A|lj> against conj<lj|A|li> from the closed forms
+            swapped = (coherent.overlap_analytic(lj, li, 1.0),
+                       *coherent.matrix_element_xp(lj, li, 1.0))
+            for num, ana in zip(numeric, swapped):
+                assert abs(num[i, j] - np.conj(num[j, i])) <= 1e-10
+                assert abs(num[i, j] - np.conj(ana)) <= 1e-10
 
 
 def test_weyl_composition_phase():

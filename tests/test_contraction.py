@@ -39,6 +39,17 @@ def test_relabel_roundtrip():
         assert abs(x2 - x) <= 1e-14 * max(1.0, abs(x))
 
 
+@given(st.floats(-1e6, 1e6, allow_subnormal=False),
+       st.floats(-1e6, 1e6, allow_subnormal=False),
+       st.floats(1e-8, 1e4))
+def test_relabel_and_unrelabel_are_inverse(p, x, hbar):
+    for forth, back in ((contraction.relabel, contraction.unrelabel),
+                        (contraction.unrelabel, contraction.relabel)):
+        p2, x2 = back(*forth(p, x, hbar), hbar)
+        assert abs(p2 - p) <= 1e-15 * abs(p) + 1e-290
+        assert abs(x2 - x) <= 1e-15 * abs(x) + 1e-290
+
+
 def test_relabeled_expectations():
     # <X_c> on the tilde-labeled state equals the tilde x label
     hbar = 0.04

@@ -168,3 +168,24 @@ def test_operator_matrices_are_immutable():
     x, _ = fock.build_xp(4, 1.0)
     with pytest.raises(ValueError):
         x.matrix[0, 0] = 5.0
+
+
+def test_position_basis_is_hermite_gauss():
+    for n_levels in range(2, 65):
+        lam, vecs = fock.position_basis(n_levels)
+        nodes = np.polynomial.hermite.hermgauss(n_levels)[0]
+        assert np.max(np.abs(lam - nodes)) <= 1e-12 * np.max(np.abs(lam))
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(n_levels))) <= 1e-12
+        x_op, _ = fock.build_xp(n_levels, 1.0)
+        assert np.max(np.abs((vecs * lam) @ vecs.T - x_op.matrix)) <= 1e-12
+
+
+def test_position_basis_is_read_only():
+    lam, vecs = fock.position_basis(16)
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 0.0
+    assert fock.position_basis(16)[0] is lam
+    with pytest.raises(ValidationError):
+        fock.position_basis(1)
