@@ -504,10 +504,10 @@ def run_evolve(cfg):
     if cfg["format"] != "json":
         coord_header = (["t"] + [f"q_{i}" for i in range(n)]
                         + [f"p_{i}" for i in range(n)])
-        s = math.sqrt(2.0)
         _write_csv(cfg, "evolve_schrodinger.csv", coord_header,
-                   np.column_stack((straj.times, s * straj.states.real,
-                                    s * straj.states.imag)))
+                   np.column_stack((straj.times,
+                                    *projective.amplitudes_to_coordinates(
+                                        straj.states, spec.hbar))))
         _write_csv(cfg, "evolve_hamilton.csv", coord_header,
                    np.column_stack((ctraj.times, ctraj.q, ctraj.p)))
         _write_csv(cfg, "evolve_observables.csv",

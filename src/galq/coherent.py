@@ -1,6 +1,6 @@
 """Canonical coherent states from displacement operators, their analytic
-overlap and matrix-element kernels, overcompleteness quadrature, and the
-position-translation representation on a sampled grid.
+overlap and matrix-element kernels, and overcompleteness quadrature.
+Position translations are the displacements with p = 0.
 
 Label convention: the state labeled (p, x) is U|0> with
 U = exp(i(p X - x P + theta I)), so the labels are the expectation values
@@ -167,7 +167,7 @@ def overlap_analytic(l1, l2, hbar=1.0):
     squared label separation over 4*hbar.
     """
     _check_matched(l1, l2)
-    if hbar <= 0:
+    if not (hbar > 0):
         raise ValidationError("hbar must be positive")
     phase = (float(l1.x @ l2.p - l1.p @ l2.x) / (2.0 * hbar)
              + (l2.theta - l1.theta))
@@ -208,7 +208,7 @@ def overcompleteness_residual(n_levels, radius, step, n_check=16):
     the identity on the first n_check levels.  The deviation shrinks as the
     domain grows and the mesh refines.
     """
-    if radius <= 0 or step <= 0:
+    if not (radius > 0 and step > 0):
         raise ValidationError("radius and step must be positive")
     if not 1 <= n_check <= n_levels:
         raise ValidationError("need 1 <= n_check <= n_levels")
@@ -224,68 +224,3 @@ def overcompleteness_residual(n_levels, radius, step, n_check=16):
     residual = float(np.max(np.abs(s_block - np.eye(n_check))))
     return OvercompletenessResult(residual, n_check, alpha.size, s_block, warning)
 
-
-# --- sampled position-space representation --------------------------------
-
-@dataclass(frozen=True, eq=False)
-class GridWavefunction:
-    """Complex samples on the periodic grid y_j = (j - M//2) * spacing."""
-
-    n_points: int
-    spacing: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.n_points < 2 or self.spacing <= 0:
-            raise ValidationError("need n_points >= 2 and positive spacing")
-        v = np.asarray(self.samples, dtype=complex)
-        if v.shape != (self.n_points,):
-            raise ValidationError("sample count does not match n_points")
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValidationError("samples must be finite")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "samples", v)
-        object.__setattr__(self, "spacing", float(self.spacing))
-
-    @property
-    def grid(self):
-        return (np.arange(self.n_points) - self.n_points // 2) * self.spacing
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.samples) * math.sqrt(self.spacing))
-
-    def is_normalized(self, tol=1e-10):
-        return abs(self.norm - 1.0) <= tol
-
-
-def grid_gaussian(n_points, spacing, center=0.0, sigma=1.0, momentum=0.0):
-    """Normalized discrete Gaussian exp(-(y-c)^2/(4 sigma^2) + i k y)."""
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    y = (np.arange(n_points) - n_points // 2) * spacing
-    env = np.exp(-((y - center) ** 2) / (4.0 * sigma * sigma))
-    psi = env * np.exp(1j * momentum * y)
-    nrm = np.linalg.norm(psi) * math.sqrt(spacing)
-    if nrm == 0:
-        raise ValidationError("Gaussian underflows to zero on this grid")
-    return GridWavefunction(n_points, spacing, psi / nrm)
-
-
-def position_translate(psi, x, theta=0.0):
-    """e^{i theta} times the shift psi(y) -> psi(y - x).
-
-    Integer multiples of the grid spacing shift by array roll (exact);
-    other shifts go through the spectral factor e^{-i k x}, which keeps the
-    map exactly unitary on the periodic grid.
-    """
-    shift_f = x / psi.spacing
-    shift = int(round(shift_f))
-    phase = np.exp(1j * theta)
-    if abs(shift_f - shift) < 1e-12:
-        out = np.roll(psi.samples, shift)
-    else:
-        k = 2.0 * math.pi * np.fft.fftfreq(psi.n_points, d=psi.spacing)
-        out = np.fft.ifft(np.fft.fft(psi.samples) * np.exp(-1j * k * x))
-    return GridWavefunction(psi.n_points, psi.spacing, phase * out)

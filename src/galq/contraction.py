@@ -1,7 +1,8 @@
 """The quantum-to-classical laboratory: sqrt(hbar) relabeling of coherent
 states, overlap-decay sweeps over an hbar grid, off-diagonal suppression of
-the scaled position/momentum operators on a coherent label set, emergence
-of classical trajectories, and the narrowing position basis.
+the scaled position/momentum operators on a coherent label set (on
+x-separated labels, the narrowing position basis), and emergence of
+classical trajectories.
 
 Everything here probes the k -> infinity (hbar = 1/k**2 -> 0) limit by
 finite-hbar sweeps plus fitted asymptotics; nothing is evaluated at
@@ -45,7 +46,7 @@ EDGE_TOL = 1e-10
 
 def relabel(p, x, hbar):
     """Tilde labels (sqrt(hbar) p, sqrt(hbar) x) of a state labeled (p, x)."""
-    if hbar <= 0:
+    if not (hbar > 0):
         raise ValidationError("hbar must be positive")
     s = math.sqrt(hbar)
     return s * np.asarray(p, dtype=float), s * np.asarray(x, dtype=float)
@@ -53,7 +54,7 @@ def relabel(p, x, hbar):
 
 def unrelabel(p_tilde, x_tilde, hbar):
     """Inverse of :func:`relabel`."""
-    if hbar <= 0:
+    if not (hbar > 0):
         raise ValidationError("hbar must be positive")
     s = math.sqrt(hbar)
     return np.asarray(p_tilde, dtype=float) / s, np.asarray(x_tilde, dtype=float) / s
@@ -112,7 +113,7 @@ class SweepSpec:
 
     def __init__(self, hbar_grid, label_pairs, n_cap=8192):
         grid = tuple(float(h) for h in hbar_grid)
-        if not grid or any(h <= 0 for h in grid):
+        if not grid or any(not (h > 0) for h in grid):
             raise ValidationError("hbar grid must be positive")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("hbar grid must be strictly descending")
@@ -347,10 +348,12 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     if kind not in ("harmonic", "quartic"):
         raise ValidationError("emergence supports harmonic and quartic kinds")
     hbar_grid = tuple(float(h) for h in hbar_grid)
-    if not hbar_grid or any(h <= 0 for h in hbar_grid):
+    if not hbar_grid or any(not (h > 0) for h in hbar_grid):
         raise ValidationError("hbar grid must be positive")
-    if t_final < 0:
+    if not (t_final >= 0):
         raise ValidationError("t_final must be >= 0")
+    if n_samples < 2:
+        raise ValidationError("n_samples must be >= 2")
     times = np.linspace(0.0, t_final, n_samples) if t_final > 0 else np.zeros(1)
     cx, cp = classical_flow(x0, p0, times, kind=kind, lam=lam)
     devs = np.empty(len(hbar_grid))
@@ -381,67 +384,3 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
                            np.asarray(hbar_grid), devs, ns, edges, times, qx,
                            qp, cx, cp)
 
-
-# --- position-basis contraction -------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class PositionContractionReport:
-    centers: np.ndarray
-    hbar: np.ndarray
-    max_offdiag_overlap: np.ndarray
-    max_offdiag_x: np.ndarray
-    max_diag_center_error: np.ndarray
-    warning: str | None = None
-
-
-def position_basis_contraction(centers, hbar_grid, n_points=None,
-                               spacing=None):
-    """Model the relabeled position basis by Gaussians of width
-    sigma = sqrt(hbar/2) at the given centers and track, along the hbar
-    grid, their mutual overlaps and the matrix of the position operator.
-
-    As hbar -> 0 the off-diagonals vanish (underflowing to exact zero well
-    before hbar does) and the diagonal converges to the center positions.
-    """
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 1 or centers.size < 2:
-        raise ValidationError("need at least two center positions")
-    hbar_grid = tuple(float(h) for h in hbar_grid)
-    if not hbar_grid or any(h <= 0 for h in hbar_grid):
-        raise ValidationError("hbar grid must be positive")
-    sig_min = math.sqrt(min(hbar_grid) / 2.0)
-    sig_max = math.sqrt(max(hbar_grid) / 2.0)
-    span = (centers.max() - centers.min()) + 16.0 * sig_max + 2.0
-    if spacing is None:
-        spacing = sig_min / 4.0
-    need = int(math.ceil(span / spacing)) + 1
-    if n_points is None:
-        n_points = need
-    warning = None
-    if spacing > sig_min:
-        warning = (f"grid spacing {spacing:.3g} cannot resolve the narrowest "
-                   f"Gaussian width {sig_min:.3g}")
-    if need > n_points:
-        raise ValidationError(
-            f"n_points={n_points} too small: need >= {need} at spacing {spacing:.3g}")
-    y = (np.arange(n_points) - n_points // 2) * spacing
-    mid = 0.5 * (centers.max() + centers.min())
-    off_ov = np.empty(len(hbar_grid))
-    off_x = np.empty(len(hbar_grid))
-    diag_err = np.empty(len(hbar_grid))
-    for i, hbar in enumerate(hbar_grid):
-        sigma = math.sqrt(hbar / 2.0)
-        waves = []
-        for c in centers:
-            psi = np.exp(-((y - (c - mid)) ** 2) / (4.0 * sigma * sigma))
-            nrm = np.linalg.norm(psi) * math.sqrt(spacing)
-            waves.append(psi / nrm)
-        waves = np.asarray(waves)
-        gram = (waves * spacing) @ waves.T
-        xmat = (waves * y * spacing) @ waves.T + mid * gram
-        off = ~np.eye(centers.size, dtype=bool)
-        off_ov[i] = float(np.max(np.abs(gram[off])))
-        off_x[i] = float(np.max(np.abs(xmat[off])))
-        diag_err[i] = float(np.max(np.abs(np.diag(xmat) - centers)))
-    return PositionContractionReport(centers, np.asarray(hbar_grid), off_ov,
-                                     off_x, diag_err, warning)

@@ -45,7 +45,7 @@ class FockOperator:
         if m.shape != (self.n_levels, self.n_levels):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match n_levels={self.n_levels}")
-        if self.hbar <= 0:
+        if not (self.hbar > 0):
             raise ValidationError("hbar must be positive")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -172,7 +172,7 @@ def ladder_matrix(n_levels):
 def xp_matrices(a, hbar=1.0):
     """X = sqrt(hbar/2)(a + a+), P = i sqrt(hbar/2)(a+ - a) from a ladder
     matrix a, sparse or dense.  a is real, so a+ is its transpose."""
-    if hbar <= 0:
+    if not (hbar > 0):
         raise ValidationError("hbar must be positive")
     adag = a.T
     s = np.sqrt(hbar / 2.0)
@@ -190,7 +190,7 @@ def hamiltonian_matrix(kind, x, p, lam=0.1):
     if kind not in HAMILTONIAN_KINDS:
         raise ValidationError(
             f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
-    if kind == "quartic" and lam < 0:
+    if kind == "quartic" and not (lam >= 0):
         raise ValidationError("quartic coupling lam must be >= 0")
     p2 = p @ p
     if kind == "free":

@@ -40,7 +40,7 @@ class PhaseCoordinates:
         p = np.asarray(self.p, dtype=float)
         if q.shape != (self.n_levels,) or p.shape != (self.n_levels,):
             raise ValidationError("coordinate shapes must match n_levels")
-        if self.hbar <= 0:
+        if not (self.hbar > 0):
             raise ValidationError("hbar must be positive")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -51,18 +51,29 @@ class PhaseCoordinates:
         return float(np.sum(self.q**2 + self.p**2) / (2.0 * self.hbar))
 
 
+def amplitudes_to_coordinates(c, hbar=1.0):
+    """(q, p) with q + i p = sqrt(2 hbar) c, for amplitudes of any shape."""
+    s = math.sqrt(2.0 * hbar)
+    return s * c.real, s * c.imag
+
+
+def coordinates_to_amplitudes(q, p, hbar=1.0):
+    """Amplitudes (q + i p)/sqrt(2 hbar), for coordinates of any shape."""
+    return (np.asarray(q) + 1j * np.asarray(p)) / math.sqrt(2.0 * hbar)
+
+
 def to_coordinates(psi, hbar=1.0):
     """q_n + i p_n = sqrt(2 hbar) amplitude_n."""
-    if hbar <= 0:
+    if not (hbar > 0):
         raise ValidationError("hbar must be positive")
-    s = math.sqrt(2.0 * hbar)
-    return PhaseCoordinates(psi.n_levels, s * psi.amplitudes.real,
-                            s * psi.amplitudes.imag, hbar)
+    return PhaseCoordinates(psi.n_levels,
+                            *amplitudes_to_coordinates(psi.amplitudes, hbar),
+                            hbar)
 
 
 def from_coordinates(coords):
-    s = math.sqrt(2.0 * coords.hbar)
-    return StateVector(coords.n_levels, (coords.q + 1j * coords.p) / s)
+    return StateVector(coords.n_levels, coordinates_to_amplitudes(
+        coords.q, coords.p, coords.hbar))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +90,9 @@ class EvolutionSpec:
     def __post_init__(self):
         if not self.hamiltonian.is_hermitian(1e-10):
             raise ValidationError("Hamiltonian must be Hermitian")
-        if self.dt <= 0:
+        if not (self.dt > 0):
             raise ValidationError("dt must be positive")
-        if self.t_final < 0:
+        if not (self.t_final >= 0):
             raise ValidationError("t_final must be >= 0")
         if self.t_final > 0 and self.dt > self.t_final + 1e-15:
             raise ValidationError("dt must not exceed t_final")
@@ -89,7 +100,7 @@ class EvolutionSpec:
             raise ValidationError(f"method must be one of {METHODS}")
         if self.store_every < 1:
             raise ValidationError("store_every must be >= 1")
-        if self.hbar <= 0:
+        if not (self.hbar > 0):
             raise ValidationError("hbar must be positive")
         if self.n_steps:
             self._check_stable()
@@ -144,19 +155,19 @@ class CoordinateTrajectory:
     hbar: float
 
     def energy_series(self, op):
-        c = (self.q + 1j * self.p) / math.sqrt(2.0 * self.hbar)
+        c = coordinates_to_amplitudes(self.q, self.p, self.hbar)
         return np.einsum("ti,ij,tj->t", c.conj(), op.matrix, c).real
 
 
 def hamiltonian_function(q, p, h_op, hbar=1.0):
     """H(q, p) = <phi(q, p)| H |phi(q, p)> under the fixed scaling."""
-    c = (np.asarray(q) + 1j * np.asarray(p)) / math.sqrt(2.0 * hbar)
+    c = coordinates_to_amplitudes(q, p, hbar)
     return float(np.real(np.vdot(c, h_op.matrix @ c)))
 
 
 def hamiltonian_gradients(q, p, h_op, hbar=1.0):
     """Analytic (dH/dq, dH/dp) of the bilinear Hamiltonian function."""
-    c = (np.asarray(q) + 1j * np.asarray(p)) / math.sqrt(2.0 * hbar)
+    c = coordinates_to_amplitudes(q, p, hbar)
     w = h_op.matrix @ c
     s = math.sqrt(2.0 / hbar)
     return s * w.real, s * w.imag
@@ -214,8 +225,8 @@ def schrodinger_evolve(psi0, spec):
         raise ValidationError("state and Hamiltonian dimensions differ")
     if spec.method == "symplectic_leapfrog":
         traj = hamilton_evolve(to_coordinates(psi0, spec.hbar), spec)
-        states = (traj.q + 1j * traj.p) / math.sqrt(2.0 * spec.hbar)
-        return StateTrajectory(traj.times, states)
+        return StateTrajectory(traj.times, coordinates_to_amplitudes(
+            traj.q, traj.p, spec.hbar))
     z = (-1j * spec.dt_actual / spec.hbar) * spec.hamiltonian.matrix
     times, states = _sampled_states(_rk4_step(z), psi0.amplitudes, spec)
     return StateTrajectory(times, states)
@@ -265,9 +276,9 @@ def exact_evolve(psi0, h_op, times, hbar=1.0):
 def trajectory_deviation(straj, ctraj):
     """Max over sampled times of the Euclidean distance between the
     coordinates of an amplitude trajectory and a coordinate trajectory."""
-    s = math.sqrt(2.0 * ctraj.hbar)
-    dq = s * straj.states.real - ctraj.q
-    dp = s * straj.states.imag - ctraj.p
+    dq, dp = amplitudes_to_coordinates(straj.states, ctraj.hbar)
+    dq -= ctraj.q
+    dp -= ctraj.p
     dist = np.sqrt(np.sum(dq**2 + dp**2, axis=1))
     return float(np.max(dist)) if dist.size else 0.0
 

@@ -1,4 +1,4 @@
-"""Displacement operators, overlap kernels, overcompleteness, grid shifts."""
+"""Displacement operators, overlap kernels, overcompleteness."""
 
 import math
 
@@ -298,6 +298,17 @@ def test_weyl_composition_phase():
         combined = np.exp(1j * phi) * coherent.displacement(
             coherent.label_sum(l1, l2), n_levels).matrix
         assert np.max(np.abs((u12 - combined)[:, :16])) <= 1e-8
+    # pure translations: no cocycle phase, and e^{-i x P} composes
+    # additively on every column, since both factors use the same P
+    for x1, t1, x2, t2 in ((0.35, 0.2, 0.15, 0.3), (1.2, -0.7, -2.0, 2.5)):
+        l1 = coherent.CoherentLabel(0.0, x1, t1)
+        l2 = coherent.CoherentLabel(0.0, x2, t2)
+        assert coherent.weyl_phase(l1, l2) == 0.0
+        u12 = coherent.displacement(l1, n_levels).matrix \
+            @ coherent.displacement(l2, n_levels).matrix
+        combined = coherent.displacement(
+            coherent.CoherentLabel(0.0, x1 + x2, t1 + t2), n_levels).matrix
+        assert np.max(np.abs(u12 - combined)) <= 1e-12
 
 
 def test_coherent_state_minimum_uncertainty():
@@ -360,62 +371,3 @@ def test_overcompleteness_validation():
     with pytest.raises(ValidationError):
         coherent.overcompleteness_residual(16, 1.0, 0.25, n_check=17)
 
-
-# --- grid translation ------------------------------------------------------
-
-def test_position_translate_zero_shift_is_phase():
-    g = coherent.grid_gaussian(128, 0.1, center=0.3, sigma=0.5)
-    out = coherent.position_translate(g, 0.0, 0.8)
-    np.testing.assert_allclose(out.samples, np.exp(0.8j) * g.samples,
-                               atol=1e-15)
-
-
-def test_position_translate_composition_additive():
-    g = coherent.grid_gaussian(256, 0.05, sigma=0.4)
-    a = coherent.position_translate(
-        coherent.position_translate(g, 0.35, 0.2), 0.15, 0.3)
-    b = coherent.position_translate(g, 0.5, 0.5)
-    np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
-
-
-def test_position_translate_moves_grid_delta():
-    n_points, dy = 64, 0.2
-    samples = np.zeros(n_points, dtype=complex)
-    samples[n_points // 2] = 1.0  # delta at y = 0
-    delta = coherent.GridWavefunction(n_points, dy, samples)
-    out = coherent.position_translate(delta, 5 * dy)
-    expected = np.zeros(n_points, dtype=complex)
-    expected[n_points // 2 + 5] = 1.0
-    np.testing.assert_array_equal(out.samples, expected)
-
-
-def test_position_translate_exact_norm_for_integer_shift():
-    g = coherent.grid_gaussian(128, 0.1, sigma=0.3)
-    # theta = 0: pure roll, a permutation of the samples, exactly unitary
-    out = coherent.position_translate(g, 0.7, 0.0)
-    np.testing.assert_array_equal(np.sort(np.abs(out.samples)),
-                                  np.sort(np.abs(g.samples)))
-    # with a phase the magnitudes survive to the last ulp
-    shifted = coherent.position_translate(g, 0.7, 0.1)
-    assert shifted.norm == pytest.approx(g.norm, abs=1e-15)
-
-
-def test_position_translate_spectral_unitary():
-    g = coherent.grid_gaussian(256, 0.1, sigma=0.5, momentum=1.0)
-    out = coherent.position_translate(g, 0.137)
-    assert abs(out.norm - g.norm) <= 1e-10
-    # spectral and roll paths agree on smooth data for commensurate shifts
-    direct = coherent.position_translate(g, 0.5)
-    spectral_samples = np.fft.ifft(
-        np.fft.fft(g.samples)
-        * np.exp(-1j * 2 * np.pi * np.fft.fftfreq(256, d=0.1) * 0.5))
-    np.testing.assert_allclose(direct.samples, spectral_samples, atol=1e-10)
-
-
-def test_grid_wavefunction_validation():
-    with pytest.raises(ValidationError):
-        coherent.GridWavefunction(4, 0.1, np.zeros(5, dtype=complex))
-    with pytest.raises(ValidationError):
-        coherent.grid_gaussian(64, 0.1, sigma=-1.0)
-    g = coherent.grid_gaussian(64, 0.1)
-    assert g.is_normalized()

@@ -180,11 +180,24 @@ def test_diagonalization_examples():
 
 
 def test_diagonalization_suppression_monotone_to_floor():
-    labels = [CoherentLabel(0.0, 0.0), CoherentLabel(1.0, 0.0)]
     grid = [1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
-    ratios = [contraction.diagonalization_diagnostic(labels, h) for h in grid]
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] < 1e-8
+    # a p-separated pair, and an x-separated one: the position basis
+    for labels in ([CoherentLabel(0.0, 0.0), CoherentLabel(1.0, 0.0)],
+                   [CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0)]):
+        ratios = [contraction.diagonalization_diagnostic(labels, h)
+                  for h in grid]
+        assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        assert ratios[-1] < 1e-8
+    # the position basis narrows: its Gram is the Gaussian exp(-d^2/(4 hbar))
+    # and the X table sits on the centers, with off-diagonals that
+    # underflow to exact zeros at hbar = 1e-4 (exp(-2500))
+    for h in grid + [1e-4]:
+        gram = coherent.overlap_analytic(labels[0], labels[1], h)
+        assert gram == pytest.approx(math.exp(-1.0 / (4.0 * h)), rel=1e-14)
+        mx, _ = contraction.matrix_element_tables(labels, h)
+        assert np.all(np.diag(mx) == [0.0, 1.0])
+    assert gram == 0.0
+    assert mx[0, 1] == 0.0 and mx[1, 0] == 0.0
 
 
 def test_diagonalization_tables_structure():
@@ -310,38 +323,42 @@ def test_classical_flow_quartic_conserves_energy():
     assert np.max(np.abs(energy - energy[0])) <= 1e-10
 
 
-def test_position_basis_contraction_report():
-    rep = contraction.position_basis_contraction(
-        [0.0, 1.0], [1.0, 0.1, 0.01, 1e-4])
-    # overlaps follow the Gaussian closed form exp(-d^2 / (4 hbar))
-    expected = np.exp(-1.0 / (4.0 * rep.hbar))
-    np.testing.assert_allclose(rep.max_offdiag_overlap, expected,
-                               rtol=1e-8, atol=1e-300)
-    # and underflow to an exact zero at hbar = 1e-4 (exp(-2500))
-    assert rep.max_offdiag_overlap[-1] == 0.0
-    assert rep.max_offdiag_x[-1] == 0.0
-    # diagonal entries sit on the centers well within sqrt(hbar)
-    assert np.all(rep.max_diag_center_error <= np.sqrt(rep.hbar))
-    assert np.all(np.diff(rep.max_offdiag_overlap) < 0)
-    assert rep.warning is None
 
-
-def test_position_basis_coincident_centers_overlap_one():
-    rep = contraction.position_basis_contraction([0.5, 0.5], [0.1])
-    assert rep.max_offdiag_overlap[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_position_basis_resolution_warning():
-    rep = contraction.position_basis_contraction([0.0, 1.0], [0.5, 0.1],
-                                                 spacing=1.0, n_points=64)
-    assert rep.warning is not None
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: contraction.classical_trajectory_emergence(
+        1.0, 0.0, [1.0], t_final=math.nan), id="emergence-t_final"),
+    pytest.param(lambda: contraction.classical_trajectory_emergence(
+        1.0, 0.0, [math.nan]), id="emergence-hbar"),
+    pytest.param(lambda: contraction.classical_trajectory_emergence(
+        1.0, 0.0, [1.0], n_samples=0), id="emergence-n_samples"),
+    pytest.param(lambda: coherent.overlap_analytic(
+        CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0), math.nan),
+        id="overlap-hbar"),
+    pytest.param(lambda: contraction.diagonalization_diagnostic(
+        [CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0)], math.nan),
+        id="diagnostic-hbar"),
+    pytest.param(lambda: coherent.overcompleteness_residual(
+        8, math.nan, 0.5, n_check=4), id="residual-radius"),
+    pytest.param(lambda: contraction.SweepSpec(
+        [math.nan], [(CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0))]),
+        id="sweep-hbar"),
+    pytest.param(lambda: contraction.relabel(1.0, 1.0, math.nan),
+                 id="relabel-hbar"),
+    pytest.param(lambda: projective.EvolutionSpec(
+        fock.build_hamiltonian("harmonic", 4), 1.0, 0.1, hbar=math.nan),
+        id="spec-hbar"),
+    pytest.param(lambda: projective.EvolutionSpec(
+        fock.build_hamiltonian("harmonic", 4), 1.0, math.nan),
+        id="spec-dt"),
+    pytest.param(lambda: projective.EvolutionSpec(
+        fock.build_hamiltonian("harmonic", 4), math.nan, 0.1),
+        id="spec-t_final"),
+    pytest.param(lambda: projective.to_coordinates(fock.vacuum(4), math.nan),
+                 id="coordinates-hbar"),
+    pytest.param(lambda: fock.build_xp(4, math.nan), id="build_xp-hbar"),
+    pytest.param(lambda: fock.build_hamiltonian("quartic", 4, lam=math.nan),
+                 id="quartic-lam"),
+])
+def test_nan_and_empty_inputs_raise_validation_error(call):
     with pytest.raises(ValidationError):
-        contraction.position_basis_contraction([0.0, 5.0], [1.0],
-                                               spacing=0.01, n_points=8)
-
-
-def test_position_basis_validation():
-    with pytest.raises(ValidationError):
-        contraction.position_basis_contraction([1.0], [0.1])
-    with pytest.raises(ValidationError):
-        contraction.position_basis_contraction([0.0, 1.0], [-0.1])
+        call()

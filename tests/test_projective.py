@@ -37,6 +37,13 @@ def test_coordinate_roundtrip(hbar):
     np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-14)
     coords = projective.to_coordinates(psi, hbar)
     assert coords.squared_norm == pytest.approx(psi.norm**2, rel=1e-13)
+    # the array maps work on stacks of any shape, entry by entry
+    stack = amps.reshape(2, 2, 4)
+    q, p = projective.amplitudes_to_coordinates(stack, hbar)
+    np.testing.assert_array_equal(q.ravel(), coords.q)
+    np.testing.assert_array_equal(p.ravel(), coords.p)
+    np.testing.assert_allclose(
+        projective.coordinates_to_amplitudes(q, p, hbar), stack, atol=1e-14)
 
 
 def test_spec_validation():
