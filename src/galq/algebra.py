@@ -131,6 +131,10 @@ class ContractionParams:
     def __post_init__(self):
         if not self.k >= 1.0:
             raise ValidationError(f"contraction scale k must be >= 1, got {self.k}")
+        if not self.hbar > 0:  # also bounds k**2 in _rescaled
+            raise ValidationError(
+                f"contraction scale k={self.k} is too large: hbar = 1/k**2 "
+                "underflows to 0")
         object.__setattr__(self, "scaled", tuple(self.scaled))
 
     @property

@@ -167,7 +167,7 @@ _SCHEMAS = {
         "n_levels": _Flag(int, 32),
         "t_final": _Flag(_float, 10.0),
         "dt": _Flag(_float, 1e-3),
-        "method": _Flag(str, "rk4", projective.METHODS),
+        "method": _Flag(str, "rk4", ("rk4",)),
         "x0": _Flag(_float, 1.0, help="initial coherent label x"),
         "p0": _Flag(_float, 0.5, help="initial coherent label p"),
         "store_every": _Flag(int, 100),
@@ -480,7 +480,6 @@ def run_evolve(cfg):
         n = cfg["n_levels"]
         h_op = fock.build_hamiltonian(cfg["kind"], n, 1.0, lam=cfg["lam"])
     spec = projective.EvolutionSpec(h_op, cfg["t_final"], cfg["dt"],
-                                    method=cfg["method"],
                                     store_every=cfg["store_every"])
     psi0 = coherent.coherent_state(
         coherent.CoherentLabel(cfg["p0"], cfg["x0"]), n)

@@ -24,6 +24,7 @@ from scipy.special import gammainc, gammaln
 from .errors import PrecisionError, ValidationError
 from .fock import FockOperator, StateVector, position_basis
 from .fock import build_xp  # noqa: F401  (kept in this namespace for callers)
+from .projective import coordinates_to_amplitudes
 
 
 def _axis_vec(v, d, name):
@@ -54,7 +55,7 @@ class CoherentLabel:
     @property
     def alpha(self):
         """Fock displacement amplitude(s) (x + ip)/sqrt2 per axis."""
-        return (self.x + 1j * self.p) / math.sqrt(2.0)
+        return coordinates_to_amplitudes(self.x, self.p)
 
 
 def _check_matched(l1, l2):
@@ -167,7 +168,7 @@ def overlap_analytic(l1, l2, hbar=1.0):
     squared label separation over 4*hbar.
     """
     _check_matched(l1, l2)
-    if not (hbar > 0):
+    if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
     phase = (float(l1.x @ l2.p - l1.p @ l2.x) / (2.0 * hbar)
              + (l2.theta - l1.theta))
@@ -208,7 +209,7 @@ def overcompleteness_residual(n_levels, radius, step, n_check=16):
     the identity on the first n_check levels.  The deviation shrinks as the
     domain grows and the mesh refines.
     """
-    if not (radius > 0 and step > 0):
+    if not (0 < radius < math.inf and 0 < step < math.inf):
         raise ValidationError("radius and step must be positive")
     if not 1 <= n_check <= n_levels:
         raise ValidationError("need 1 <= n_check <= n_levels")
@@ -218,7 +219,7 @@ def overcompleteness_residual(n_levels, radius, step, n_check=16):
     m = int(round(2.0 * radius / step))
     pts = -radius + step * np.arange(m + 1)
     pp, xx = np.meshgrid(pts, pts, indexing="ij")
-    alpha = (xx.ravel() + 1j * pp.ravel()) / math.sqrt(2.0)
+    alpha = coordinates_to_amplitudes(xx.ravel(), pp.ravel())
     amps = _log_space_amplitudes(alpha, n_check)
     s_block = (step * step / (2.0 * math.pi)) * (amps.T @ amps.conj())
     residual = float(np.max(np.abs(s_block - np.eye(n_check))))

@@ -46,7 +46,7 @@ EDGE_TOL = 1e-10
 
 def relabel(p, x, hbar):
     """Tilde labels (sqrt(hbar) p, sqrt(hbar) x) of a state labeled (p, x)."""
-    if not (hbar > 0):
+    if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
     s = math.sqrt(hbar)
     return s * np.asarray(p, dtype=float), s * np.asarray(x, dtype=float)
@@ -54,7 +54,7 @@ def relabel(p, x, hbar):
 
 def unrelabel(p_tilde, x_tilde, hbar):
     """Inverse of :func:`relabel`."""
-    if not (hbar > 0):
+    if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
     s = math.sqrt(hbar)
     return np.asarray(p_tilde, dtype=float) / s, np.asarray(x_tilde, dtype=float) / s
@@ -113,7 +113,7 @@ class SweepSpec:
 
     def __init__(self, hbar_grid, label_pairs, n_cap=8192):
         grid = tuple(float(h) for h in hbar_grid)
-        if not grid or any(not (h > 0) for h in grid):
+        if not grid or any(not (0 < h < math.inf) for h in grid):
             raise ValidationError("hbar grid must be positive")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("hbar grid must be strictly descending")
@@ -348,9 +348,9 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     if kind not in ("harmonic", "quartic"):
         raise ValidationError("emergence supports harmonic and quartic kinds")
     hbar_grid = tuple(float(h) for h in hbar_grid)
-    if not hbar_grid or any(not (h > 0) for h in hbar_grid):
+    if not hbar_grid or any(not (0 < h < math.inf) for h in hbar_grid):
         raise ValidationError("hbar grid must be positive")
-    if not (t_final >= 0):
+    if not (0 <= t_final < math.inf):
         raise ValidationError("t_final must be >= 0")
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")

@@ -13,6 +13,7 @@ P.  All contraction-related hbar bookkeeping lives in galq.contraction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,39 +46,12 @@ class FockOperator:
         if m.shape != (self.n_levels, self.n_levels):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match n_levels={self.n_levels}")
-        if not (self.hbar > 0):
+        if not (0 < self.hbar < math.inf):
             raise ValidationError("hbar must be positive")
         object.__setattr__(self, "matrix", _freeze(m))
 
-    def dag(self):
-        return FockOperator(self.n_levels, self.matrix.conj().T,
-                            self.hbar, self.label + "+")
-
     def is_hermitian(self, tol=HERMITIAN_TOL):
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            _check_match(self, other)
-            return FockOperator(self.n_levels, self.matrix @ other.matrix,
-                                self.hbar, f"{self.label}{other.label}")
-        return self.matrix @ np.asarray(other)
-
-    def __add__(self, other):
-        _check_match(self, other)
-        return FockOperator(self.n_levels, self.matrix + other.matrix,
-                            self.hbar, self.label)
-
-    def __sub__(self, other):
-        _check_match(self, other)
-        return FockOperator(self.n_levels, self.matrix - other.matrix,
-                            self.hbar, self.label)
-
-    def __mul__(self, scalar):
-        return FockOperator(self.n_levels, self.matrix * scalar,
-                            self.hbar, self.label)
-
-    __rmul__ = __mul__
 
 
 def _check_match(a, b):
@@ -172,7 +146,7 @@ def ladder_matrix(n_levels):
 def xp_matrices(a, hbar=1.0):
     """X = sqrt(hbar/2)(a + a+), P = i sqrt(hbar/2)(a+ - a) from a ladder
     matrix a, sparse or dense.  a is real, so a+ is its transpose."""
-    if not (hbar > 0):
+    if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
     adag = a.T
     s = np.sqrt(hbar / 2.0)
@@ -190,7 +164,7 @@ def hamiltonian_matrix(kind, x, p, lam=0.1):
     if kind not in HAMILTONIAN_KINDS:
         raise ValidationError(
             f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
-    if kind == "quartic" and not (lam >= 0):
+    if kind == "quartic" and not (0 <= lam < math.inf):
         raise ValidationError("quartic coupling lam must be >= 0")
     p2 = p @ p
     if kind == "free":

@@ -20,10 +20,9 @@ import numpy as np
 from .errors import ValidationError
 from .fock import FockOperator, StateVector, build_hamiltonian, build_xp
 
-METHODS = ("rk4", "symplectic_leapfrog")
 # Largest stable dt * rho(H) / hbar: RK4's stability region meets the
-# imaginary axis at +-2 sqrt(2), leapfrog's at +-2.
-STABILITY_LIMIT = {"rk4": 2.0 * math.sqrt(2.0), "symplectic_leapfrog": 2.0}
+# imaginary axis at +-2 sqrt(2).
+STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +39,7 @@ class PhaseCoordinates:
         p = np.asarray(self.p, dtype=float)
         if q.shape != (self.n_levels,) or p.shape != (self.n_levels,):
             raise ValidationError("coordinate shapes must match n_levels")
-        if not (self.hbar > 0):
+        if not (0 < self.hbar < math.inf):
             raise ValidationError("hbar must be positive")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -64,7 +63,7 @@ def coordinates_to_amplitudes(q, p, hbar=1.0):
 
 def to_coordinates(psi, hbar=1.0):
     """q_n + i p_n = sqrt(2 hbar) amplitude_n."""
-    if not (hbar > 0):
+    if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
     return PhaseCoordinates(psi.n_levels,
                             *amplitudes_to_coordinates(psi.amplitudes, hbar),
@@ -83,40 +82,36 @@ class EvolutionSpec:
     hamiltonian: FockOperator
     t_final: float
     dt: float
-    method: str = "rk4"
     hbar: float = 1.0
     store_every: int = 1
 
     def __post_init__(self):
         if not self.hamiltonian.is_hermitian(1e-10):
             raise ValidationError("Hamiltonian must be Hermitian")
-        if not (self.dt > 0):
+        if not (0 < self.dt < math.inf):
             raise ValidationError("dt must be positive")
-        if not (self.t_final >= 0):
+        if not (0 <= self.t_final < math.inf):
             raise ValidationError("t_final must be >= 0")
         if self.t_final > 0 and self.dt > self.t_final + 1e-15:
             raise ValidationError("dt must not exceed t_final")
-        if self.method not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}")
         if self.store_every < 1:
             raise ValidationError("store_every must be >= 1")
-        if not (self.hbar > 0):
+        if not (0 < self.hbar < math.inf):
             raise ValidationError("hbar must be positive")
         if self.n_steps:
             self._check_stable()
 
     def _check_stable(self):
-        """Reject a step outside the method's stability interval, where the
+        """Reject a step outside RK4's stability interval, where the
         integration blows up instead of failing a tolerance."""
         rho = float(np.max(np.abs(np.linalg.eigvalsh(self.hamiltonian.matrix))))
-        limit = STABILITY_LIMIT[self.method]
         z = self.dt_actual * rho / self.hbar
-        if z > limit:
-            dt_max = limit * self.hbar / rho
+        if z > STABILITY_LIMIT:
+            dt_max = STABILITY_LIMIT * self.hbar / rho
             unit = 10.0 ** (math.floor(math.log10(dt_max)) - 1)
             raise ValidationError(
-                f"dt={self.dt:g} is unstable for {self.method}: "
-                f"dt*rho(H)/hbar = {z:.3g} > {limit:.3g}; use dt <= "
+                f"dt={self.dt:g} is unstable for rk4: "
+                f"dt*rho(H)/hbar = {z:.3g} > {STABILITY_LIMIT:.3g}; use dt <= "
                 f"{math.floor(dt_max / unit) * unit:.2g}")
 
     @property
@@ -214,19 +209,10 @@ def _sampled_states(step, x0, spec):
 
 
 def schrodinger_evolve(psi0, spec):
-    """Integrate i hbar dc/dt = H c on the amplitude vector.
-
-    rk4 works for any Hermitian H and applies the complex one-step map
-    sum_{j<=4} (-i dt H/hbar)^j / j!; symplectic_leapfrog delegates to
-    the coordinate form (it is the same splitting) and therefore requires a
-    real-symmetric Hamiltonian matrix.
-    """
+    """Integrate i hbar dc/dt = H c on the amplitude vector with RK4: the
+    complex one-step map sum_{j<=4} (-i dt H/hbar)^j / j!."""
     if psi0.n_levels != spec.hamiltonian.n_levels:
         raise ValidationError("state and Hamiltonian dimensions differ")
-    if spec.method == "symplectic_leapfrog":
-        traj = hamilton_evolve(to_coordinates(psi0, spec.hbar), spec)
-        return StateTrajectory(traj.times, coordinates_to_amplitudes(
-            traj.q, traj.p, spec.hbar))
     z = (-1j * spec.dt_actual / spec.hbar) * spec.hamiltonian.matrix
     times, states = _sampled_states(_rk4_step(z), psi0.amplitudes, spec)
     return StateTrajectory(times, states)
@@ -237,8 +223,8 @@ def hamilton_evolve(c0, spec):
 
     For Hermitian H = A + iB (A symmetric, B antisymmetric) the analytic
     gradients give dq/dt = (A p + B q)/hbar, dp/dt = (B p - A q)/hbar, i.e.
-    K = [[B, A], [-A, B]]/hbar on (q, p).  rk4 applies the real one-step map
-    sum_{j<=4} (dt K)^j / j!, leapfrog its kick-drift-kick product.
+    K = [[B, A], [-A, B]]/hbar on (q, p), integrated with RK4: the real
+    one-step map sum_{j<=4} (dt K)^j / j!.
     """
     if c0.n_levels != spec.hamiltonian.n_levels:
         raise ValidationError("coordinates and Hamiltonian dimensions differ")
@@ -246,17 +232,9 @@ def hamilton_evolve(c0, spec):
         raise ValidationError("coordinate scaling and spec disagree on hbar")
     n = c0.n_levels
     h = spec.hamiltonian.matrix
-    if spec.method == "symplectic_leapfrog" and np.max(np.abs(h.imag)) > 1e-12:
-        raise ValidationError(
-            "symplectic_leapfrog needs a real-symmetric Hamiltonian matrix")
     a = (spec.dt_actual / spec.hbar) * h.real
     b = (spec.dt_actual / spec.hbar) * h.imag
-    if spec.method == "symplectic_leapfrog":
-        # kick p -= a q/2, drift q += a p, kick p -= a q/2, multiplied out
-        half = 0.5 * a @ a
-        step = np.block([[-half, a], [0.5 * a @ half - a, -half]])
-    else:
-        step = _rk4_step(np.block([[b, a], [-a, b]]))
+    step = _rk4_step(np.block([[b, a], [-a, b]]))
     times, states = _sampled_states(step, np.concatenate((c0.q, c0.p)), spec)
     return CoordinateTrajectory(times, states[:, :n], states[:, n:], spec.hbar)
 

@@ -1,5 +1,7 @@
 """Structure table construction, brackets, Jacobi checks, contraction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,9 @@ def test_contraction_params_validation():
         algebra.ContractionParams(k=0.5)
     with pytest.raises(ValidationError):
         algebra.ContractionParams(k=-3.0)
+    for k in (math.inf, 1e200):  # 1/k**2 is 0, no contraction scale
+        with pytest.raises(ValidationError):
+            algebra.ContractionParams(k=k)
     params = algebra.ContractionParams.from_hbar(0.01)
     assert params.k == pytest.approx(10.0)
     assert params.hbar == pytest.approx(0.01, abs=1e-15)

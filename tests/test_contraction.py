@@ -358,6 +358,47 @@ def test_classical_flow_quartic_conserves_energy():
     pytest.param(lambda: fock.build_xp(4, math.nan), id="build_xp-hbar"),
     pytest.param(lambda: fock.build_hamiltonian("quartic", 4, lam=math.nan),
                  id="quartic-lam"),
+    # infinity gets no further than NaN
+    pytest.param(lambda: contraction.classical_trajectory_emergence(
+        1.0, 0.0, [1.0], t_final=math.inf), id="emergence-t_final-inf"),
+    pytest.param(lambda: contraction.classical_trajectory_emergence(
+        1.0, 0.0, [math.inf]), id="emergence-hbar-inf"),
+    pytest.param(lambda: coherent.overlap_analytic(
+        CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0), math.inf),
+        id="overlap-hbar-inf"),
+    pytest.param(lambda: contraction.diagonalization_diagnostic(
+        [CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0)], math.inf),
+        id="diagnostic-hbar-inf"),
+    pytest.param(lambda: coherent.overcompleteness_residual(
+        8, math.inf, 0.5, n_check=4), id="residual-radius-inf"),
+    pytest.param(lambda: coherent.overcompleteness_residual(
+        8, 2.0, math.inf, n_check=4), id="residual-step-inf"),
+    pytest.param(lambda: contraction.SweepSpec(
+        [math.inf, 1.0],
+        [(CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0))]),
+        id="sweep-hbar-inf"),
+    pytest.param(lambda: contraction.relabel(1.0, 1.0, math.inf),
+                 id="relabel-hbar-inf"),
+    pytest.param(lambda: contraction.unrelabel(1.0, 1.0, math.inf),
+                 id="unrelabel-hbar-inf"),
+    pytest.param(lambda: projective.EvolutionSpec(
+        fock.build_hamiltonian("harmonic", 4), 1.0, 0.1, hbar=math.inf),
+        id="spec-hbar-inf"),
+    pytest.param(lambda: projective.EvolutionSpec(
+        fock.build_hamiltonian("harmonic", 4), 0.0, math.inf),
+        id="spec-dt-inf"),
+    pytest.param(lambda: projective.EvolutionSpec(
+        fock.build_hamiltonian("harmonic", 4), math.inf, 0.1),
+        id="spec-t_final-inf"),
+    pytest.param(lambda: projective.to_coordinates(fock.vacuum(4), math.inf),
+                 id="coordinates-hbar-inf"),
+    pytest.param(lambda: projective.PhaseCoordinates(
+        1, [0.0], [0.0], math.inf), id="phase_coordinates-hbar-inf"),
+    pytest.param(lambda: fock.build_xp(4, math.inf), id="build_xp-hbar-inf"),
+    pytest.param(lambda: fock.build_hamiltonian("quartic", 4, lam=math.inf),
+                 id="quartic-lam-inf"),
+    pytest.param(lambda: fock.FockOperator(2, np.eye(2), hbar=math.inf),
+                 id="operator-hbar-inf"),
 ])
 def test_nan_and_empty_inputs_raise_validation_error(call):
     with pytest.raises(ValidationError):

@@ -55,21 +55,16 @@ def test_spec_validation():
         projective.EvolutionSpec(h, 1.0, -0.1)
     with pytest.raises(ValidationError):
         projective.EvolutionSpec(h, 1.0, 2.0)  # dt > t_final
-    with pytest.raises(ValidationError):
-        projective.EvolutionSpec(h, 1.0, 0.1, method="euler")
     projective.EvolutionSpec(h, 0.0, 0.1)  # t_final = 0 is a valid no-op
 
 
 def test_spec_rejects_unstable_step():
     # the RK4 amplification 1 + z + ... + z^4/4! has modulus 1 at z = i*limit
-    y = projective.STABILITY_LIMIT["rk4"]
+    y = projective.STABILITY_LIMIT
     assert abs(sum((1j * y) ** k / math.factorial(k) for k in range(5))) \
         == pytest.approx(1.0, abs=1e-12)
     h = fock.FockOperator(4, 2.0 * np.eye(4))  # rho(H) = 2
-    projective.EvolutionSpec(h, 10.0, 1.0, method="symplectic_leapfrog")
     projective.EvolutionSpec(h, 10.0, 1.25)  # dt * rho = 2.5 < 2 sqrt(2)
-    with pytest.raises(ValidationError, match="use dt <= 1"):
-        projective.EvolutionSpec(h, 10.0, 1.25, method="symplectic_leapfrog")
     with pytest.raises(ValidationError, match="use dt <= 1.4"):
         projective.EvolutionSpec(h, 10.0, 2.0)
     projective.EvolutionSpec(h, 0.0, 2.0)  # no step is taken
@@ -189,40 +184,6 @@ def test_rk4_fourth_order_against_exact_propagator():
     assert 10.0 < ratio < 24.0  # 4th order: ~2**4
 
 
-def test_leapfrog_second_order_and_energy_bounded():
-    n_levels = 16
-    h = fock.build_hamiltonian("harmonic", n_levels)
-    psi0 = coherent_psi(n_levels, 0.3, 0.8)
-
-    def deviation(dt):
-        spec = projective.EvolutionSpec(h, 2.0, dt, method="symplectic_leapfrog",
-                                        store_every=int(round(2.0 / dt)))
-        traj = projective.schrodinger_evolve(psi0, spec)
-        exact = projective.exact_evolve(psi0, h, traj.times)
-        return np.max(np.abs(traj.states - exact.states))
-
-    ratio = deviation(0.002) / deviation(0.001)
-    assert 3.0 < ratio < 5.5  # 2nd order: ~2**2
-    # long run: energy oscillates but does not drift
-    spec = projective.EvolutionSpec(h, 50.0, 1e-2,
-                                    method="symplectic_leapfrog",
-                                    store_every=100)
-    traj = projective.hamilton_evolve(projective.to_coordinates(psi0), spec)
-    energies = traj.energy_series(h)
-    assert np.max(np.abs(energies - energies[0])) <= 1e-3
-
-
-def test_leapfrog_rejects_complex_hamiltonian():
-    n_levels = 8
-    m = np.zeros((n_levels, n_levels), dtype=complex)
-    m[0, 1], m[1, 0] = 1j, -1j  # Hermitian but not real
-    h = fock.FockOperator(n_levels, m)
-    spec = projective.EvolutionSpec(h, 1.0, 0.1, method="symplectic_leapfrog")
-    c0 = projective.to_coordinates(fock.vacuum(n_levels))
-    with pytest.raises(ValidationError):
-        projective.hamilton_evolve(c0, spec)
-
-
 def test_gradients_match_finite_differences():
     n_levels = 24
     h = fock.build_hamiltonian("quartic", n_levels, lam=0.2)
@@ -279,7 +240,7 @@ def loop_amplitudes(h, c, spec):
 
 
 def loop_coordinates(h, q, p, spec):
-    """Reference RK4 or leapfrog on (q, p), one explicit step at a time."""
+    """Reference RK4 on (q, p), one explicit step at a time."""
     a, b, hbar, dt = h.real, h.imag, spec.hbar, spec.dt_actual
 
     def rhs(qv, pv):
@@ -287,47 +248,37 @@ def loop_coordinates(h, q, p, spec):
 
     out = [np.concatenate((q, p))]
     for _ in range(spec.n_steps):
-        if spec.method == "symplectic_leapfrog":
-            p_half = p - (0.5 * dt / hbar) * (a @ q)
-            q = q + (dt / hbar) * (a @ p_half)
-            p = p_half - (0.5 * dt / hbar) * (a @ q)
-        else:
-            k1q, k1p = rhs(q, p)
-            k2q, k2p = rhs(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
-            k3q, k3p = rhs(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
-            k4q, k4p = rhs(q + dt * k3q, p + dt * k3p)
-            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        k1q, k1p = rhs(q, p)
+        k2q, k2p = rhs(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
+        k3q, k3p = rhs(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
+        k4q, k4p = rhs(q + dt * k3q, p + dt * k3p)
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         out.append(np.concatenate((q, p)))
     return np.array(out)
 
 
-@given(method=st.sampled_from(projective.METHODS),
-       n_levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+@given(n_levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        n_steps=st.integers(0, 40), store_every=st.integers(1, 45),
        dt=st.floats(0.01, 0.5), hbar=st.floats(0.5, 2.0),
        stiffness=st.floats(0.05, 0.95))
-@example(method="rk4", n_levels=4, seed=1, n_steps=0, store_every=1, dt=0.1,
-         hbar=1.0, stiffness=0.5)
-@example(method="rk4", n_levels=4, seed=2, n_steps=23, store_every=5,
-         dt=0.1, hbar=1.0, stiffness=0.5)
-@example(method="symplectic_leapfrog", n_levels=4, seed=3, n_steps=23,
-         store_every=5, dt=0.1, hbar=1.0, stiffness=0.5)
-def test_propagators_match_explicit_step_loop(method, n_levels, seed, n_steps,
+@example(n_levels=4, seed=1, n_steps=0, store_every=1, dt=0.1, hbar=1.0,
+         stiffness=0.5)
+@example(n_levels=4, seed=2, n_steps=23, store_every=5, dt=0.1, hbar=1.0,
+         stiffness=0.5)
+def test_propagators_match_explicit_step_loop(n_levels, seed, n_steps,
                                               store_every, dt, hbar,
                                               stiffness):
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n_levels, n_levels))
-    if method == "rk4":
-        m = m + 1j * rng.normal(size=(n_levels, n_levels))
+    m = (rng.normal(size=(n_levels, n_levels))
+         + 1j * rng.normal(size=(n_levels, n_levels)))
     m = m + m.conj().T
-    # dt * rho(H) / hbar = stiffness * the method's stability limit
+    # dt * rho(H) / hbar = stiffness * RK4's stability limit
     rho = np.max(np.abs(np.linalg.eigvalsh(m)))
-    h = m * (stiffness * projective.STABILITY_LIMIT[method] * hbar
-             / (dt * rho))
+    h = m * (stiffness * projective.STABILITY_LIMIT * hbar / (dt * rho))
     spec = projective.EvolutionSpec(fock.FockOperator(n_levels, h),
-                                    n_steps * dt, dt, method=method,
-                                    hbar=hbar, store_every=store_every)
+                                    n_steps * dt, dt, hbar=hbar,
+                                    store_every=store_every)
     idx, times = projective._sample_times(spec)
     assert idx.tolist() == sorted({*range(0, n_steps + 1, store_every),
                                    n_steps})
@@ -346,8 +297,4 @@ def test_propagators_match_explicit_step_loop(method, n_levels, seed, n_steps,
     straj = projective.schrodinger_evolve(psi0, spec)
     np.testing.assert_array_equal(straj.times, times)
     assert straj.states.shape == (len(idx), n_levels)
-    if method == "rk4":
-        close(straj.states, loop_amplitudes(h, psi0.amplitudes, spec)[idx])
-    else:  # leapfrog's amplitude side is the coordinate flow, mapped back
-        close(straj.states, (ref[:, :n_levels] + 1j * ref[:, n_levels:])
-              / math.sqrt(2.0 * hbar))
+    close(straj.states, loop_amplitudes(h, psi0.amplitudes, spec)[idx])
