@@ -6,18 +6,25 @@ translation (``g3s_table``, generators J_i, X_i, P_i) and its central
 extension by a generator I that commutes with everything (``hr3_table``),
 where the only new bracket is [X_i, P_j] = i delta_ij I.
 
-The contraction rescales a chosen generator subset by 1/k.  Writing
-G_a^c = s_a G_a with s_a in {1, 1/k}, the structure constants transform as
+A table is one read-only complex array c[a, b, e], antisymmetric in a and b,
+with [G_a, G_b] = sum_e c[a, b, e] G_e.  The contraction rescales a chosen
+generator subset by 1/k.  Writing G_a^c = s_a G_a with s_a in {1, 1/k}, the
+structure constants transform by the Inonu-Wigner rule (Inonu & Wigner,
+PNAS 39, 510, 1953)
 
-    c'_ab^e = c_ab^e * s_a * s_b / s_e = c_ab^e * k**(n_e - n_a - n_b)
+    c'_ab^e = c_ab^e * s_a * s_b / s_e = c_ab^e * k**m_ab^e,
+    m_ab^e = n_e - n_a - n_b,
 
-with n_a = 1 for scaled generators and 0 otherwise.  At finite k this is a
-change of basis (an isomorphic table); the k -> infinity limit keeps only
-entries whose exponent is <= 0.
+with n_a = 1 for scaled generators and 0 otherwise.  One exponent array m
+serves every use: ``contract`` multiplies c by k**m and ``unscale`` by
+k**-m (at finite k a change of basis, so an isomorphic table), and
+``contraction_limit`` keeps the entries with m = 0, drops those with m < 0
+and fails on a nonzero entry with m > 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -26,18 +33,17 @@ import numpy as np
 
 from .errors import LimitDivergenceError, ParseError, ValidationError
 
-TOL_EXACT = 1e-12  # absolute tolerance for "exact" algebraic identities
-
 _NAME_RE = re.compile(r"^(?:[JXP]_[123]|I|T)$")
 
 
 class StructureTable:
     """Finite-dimensional Lie algebra given by named generators and the
-    nonzero brackets [G_a, G_b] = sum_e c_ab^e G_e.
+    brackets [G_a, G_b] = sum_e c[a, b, e] G_e.
 
-    Brackets are stored for a < b only; the mirrored orientation is derived
-    by antisymmetry.  If the input dictionary supplies both orientations
-    they must already be antisymmetric, otherwise construction fails.
+    ``c`` is one read-only complex array, antisymmetric in a and b.  The
+    constructor takes the nonzero brackets as a dict keyed by generator
+    pairs; if it supplies both orientations of a pair they must already be
+    antisymmetric, otherwise construction fails.
     """
 
     def __init__(self, names, brackets):
@@ -50,32 +56,44 @@ class StructureTable:
         self.names = names
         self.dim = len(names)
         self._index = {name: i for i, name in enumerate(names)}
-        self._c = {}
+        c = np.zeros((self.dim,) * 3, dtype=complex)
         for (a, b), terms in brackets.items():
-            ia, ib = self._resolve(a), self._resolve(b)
+            ia, ib = self.index(a), self.index(b)
             if ia == ib:
                 if any(coeff != 0 for coeff in terms.values()):
                     raise ValidationError(
                         f"[{names[ia]},{names[ia]}] must vanish")
                 continue
-            clean = {}
+            row = np.zeros(self.dim, dtype=complex)
             for e, coeff in terms.items():
                 coeff = complex(coeff)
                 if coeff != 0:
-                    clean[self._resolve(e)] = coeff
-            if ia < ib:
-                key, signed = (ia, ib), clean
-            else:
-                key, signed = (ib, ia), {e: -v for e, v in clean.items()}
-            if key in self._c:
-                if self._c[key] != signed:
-                    raise ValidationError(
-                        "antisymmetry broken: [%s,%s] and [%s,%s] disagree"
-                        % (names[ia], names[ib], names[ib], names[ia]))
-            elif signed:
-                self._c[key] = signed
+                    row[self.index(e)] = coeff
+            if not c[ia, ib].any():
+                c[ia, ib], c[ib, ia] = row, -row
+            elif not np.array_equal(c[ia, ib], row):
+                raise ValidationError(
+                    "antisymmetry broken: [%s,%s] and [%s,%s] disagree"
+                    % (names[ia], names[ib], names[ib], names[ia]))
+        bad = np.argwhere(~np.isfinite(c))
+        if bad.size:
+            a, b, e = bad[0]
+            raise ValidationError(
+                f"[{names[a]},{names[b]}] -> {names[e]} coefficient "
+                f"{complex(c[a, b, e])} is not finite")
+        c.flags.writeable = False
+        self.c = c
 
-    def _resolve(self, g):
+    @classmethod
+    def _derived(cls, names, c):
+        """Table with the constants c, built without a bracket dict."""
+        tbl = cls(names, {})
+        c.flags.writeable = False
+        tbl.c = c
+        return tbl
+
+    def index(self, g):
+        """Index of a generator given by name or index."""
         if isinstance(g, str):
             if g not in self._index:
                 raise ValidationError(f"unknown generator {g!r}")
@@ -85,33 +103,9 @@ class StructureTable:
             raise ValidationError(f"generator index {g} out of range")
         return g
 
-    def index(self, name):
-        return self._resolve(name)
-
-    def bracket_indices(self, ia, ib):
-        """Bracket coefficients as an index -> complex dict."""
-        if ia == ib:
-            return {}
-        if ia < ib:
-            return dict(self._c.get((ia, ib), {}))
-        return {e: -v for e, v in self._c.get((ib, ia), {}).items()}
-
-    def dense_constants(self):
-        """Full c[a, b, e] array (antisymmetric in a, b)."""
-        c = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        for (a, b), terms in self._c.items():
-            for e, coeff in terms.items():
-                c[a, b, e] = coeff
-                c[b, a, e] = -coeff
-        return c
-
-    def items(self):
-        """Iterate canonical nonzero brackets as ((ia, ib), {ie: coeff})."""
-        return self._c.items()
-
     def __eq__(self, other):
-        return (isinstance(other, StructureTable)
-                and self.names == other.names and self._c == other._c)
+        return (isinstance(other, StructureTable) and self.names == other.names
+                and np.array_equal(self.c, other.c))
 
     def __repr__(self):
         return f"StructureTable(dim={self.dim}, names={self.names})"
@@ -158,8 +152,8 @@ def bracket(a, b, tbl):
 
     Antisymmetric under swapping a and b; empty dict means zero.
     """
-    ia, ib = tbl._resolve(a), tbl._resolve(b)
-    return {tbl.names[e]: v for e, v in tbl.bracket_indices(ia, ib).items()}
+    row = tbl.c[tbl.index(a), tbl.index(b)].tolist()
+    return {tbl.names[e]: v for e, v in enumerate(row) if v}
 
 
 def jacobi_defect(tbl):
@@ -167,9 +161,8 @@ def jacobi_defect(tbl):
 
     Zero (to roundoff) for every valid Lie algebra table.
     """
-    c = tbl.dense_constants()
     # [[G_a, G_b], G_x] coefficient of G_f: sum_e c_ab^e c_ex^f
-    d = np.einsum("abe,exf->abxf", c, c)
+    d = np.einsum("abe,exf->abxf", tbl.c, tbl.c)
     resid = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
     return float(np.max(np.abs(resid))) if resid.size else 0.0
 
@@ -181,50 +174,44 @@ def central_defect(tbl, name="I"):
     """
     if name not in tbl.names:
         return 0.0
-    ic = tbl.index(name)
-    worst = 0.0
-    for b in range(tbl.dim):
-        for coeff in tbl.bracket_indices(ic, b).values():
-            worst = max(worst, abs(coeff))
-    return worst
+    row = tbl.c[tbl.index(name)]
+    # hypot rounds as Python's abs(complex); np.abs can differ in the last bit
+    return float(np.hypot(row.real, row.imag).max())
 
 
-def _scaling_exponents(tbl, scaled):
+def _exponents(tbl, scaled):
+    """m[a, b, e] = n_e - n_a - n_b, with n_a = 1 for the scaled generators
+    and 0 for the others: under G_a -> k**-n_a G_a, c -> c * k**m."""
     n = np.zeros(tbl.dim, dtype=int)
-    for name in scaled:
-        n[tbl.index(name)] = 1
-    return n
+    n[[tbl.index(name) for name in scaled]] = 1
+    return n - n[:, None, None] - n[:, None]
 
 
-def _rescaled(tbl, scaled, k, direction):
-    """Structure constants in the basis G_a -> k**(-direction * n_a) G_a."""
-    n = _scaling_exponents(tbl, scaled)
-    brackets = {}
-    for (a, b), terms in tbl.items():
-        new_terms = {}
-        for e, coeff in terms.items():
-            m = direction * int(n[e] - n[a] - n[b])
-            if m >= 0:
-                new_terms[e] = coeff * k**m
-            else:
-                new_terms[e] = coeff / k**(-m)
-        brackets[(a, b)] = new_terms
-    return StructureTable(tbl.names, brackets)
+def _rescaled(tbl, params, direction):
+    """Table with constants c * k**m for m = direction * exponents, rounded
+    as Python rounds coeff * k**m (m >= 0) and coeff / k**-m (m < 0)."""
+    m = direction * _exponents(tbl, params.scaled or default_scaled_set(tbl))
+    kp = np.array([float(params.k)**j for j in range(3)])[np.abs(m)]  # |m|<=2
+    re, im = tbl.c.real, tbl.c.imag
+    c = np.empty_like(tbl.c)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check inf
+        zr, zi = re * 0.0, im * 0.0  # the signed zeros of those operations
+        c.real = np.where(m >= 0, re * kp - zi, (re + zi) / kp)
+        c.imag = np.where(m >= 0, zr + im * kp, (im - zr) / kp)
+    lower = np.tri(tbl.dim, dtype=bool)[..., None]  # b <= a mirrors a < b
+    return StructureTable._derived(tbl.names,
+                                   np.where(lower, -c.swapaxes(0, 1), c))
 
 
 def contract(tbl, params):
     """Structure table in the rescaled basis G_a^c = G_a / k for the scaled
     generators.  Isomorphic to the input at every finite k."""
-    scaled = params.scaled or default_scaled_set(tbl)
-    for name in scaled:
-        tbl.index(name)  # raises for generators missing from the table
-    return _rescaled(tbl, scaled, params.k, direction=1)
+    return _rescaled(tbl, params, 1)
 
 
 def unscale(tbl, params):
     """Inverse basis change of :func:`contract` (G_a^c -> G_a)."""
-    scaled = params.scaled or default_scaled_set(tbl)
-    return _rescaled(tbl, scaled, params.k, direction=-1)
+    return _rescaled(tbl, params, -1)
 
 
 def contraction_limit(tbl, scaled=None):
@@ -235,22 +222,14 @@ def contraction_limit(tbl, scaled=None):
     """
     if scaled is None:
         scaled = default_scaled_set(tbl)
-    for name in scaled:
-        tbl.index(name)
-    n = _scaling_exponents(tbl, scaled)
-    brackets = {}
-    for (a, b), terms in tbl.items():
-        new_terms = {}
-        for e, coeff in terms.items():
-            m = int(n[e] - n[a] - n[b])
-            if m > 0:
-                raise LimitDivergenceError(
-                    "[%s,%s] -> %s diverges like k**%d as k -> infinity"
-                    % (tbl.names[a], tbl.names[b], tbl.names[e], m))
-            if m == 0:
-                new_terms[e] = coeff
-        brackets[(a, b)] = new_terms
-    return StructureTable(tbl.names, brackets)
+    m = _exponents(tbl, scaled)
+    diverging = np.argwhere((m > 0) & (tbl.c != 0))
+    if diverging.size:
+        a, b, e = diverging[0]
+        raise LimitDivergenceError(
+            "[%s,%s] -> %s diverges like k**%d as k -> infinity"
+            % (tbl.names[a], tbl.names[b], tbl.names[e], m[a, b, e]))
+    return StructureTable._derived(tbl.names, np.where(m == 0, tbl.c, 0))
 
 
 def _eps(i, j, k):
@@ -284,12 +263,12 @@ def hr3_table():
     [X_i, P_j] = i delta_ij I and all other I-brackets zero."""
     base = g3s_table()
     names = base.names + ("I",)
-    brackets = {(base.names[a], base.names[b]):
-                {base.names[e]: v for e, v in terms.items()}
-                for (a, b), terms in base.items()}
+    c = np.zeros((len(names),) * 3, dtype=complex)
+    c[:-1, :-1, :-1] = base.c
     for i in (1, 2, 3):
-        brackets[(f"X_{i}", f"P_{i}")] = {"I": 1j}
-    return StructureTable(names, brackets)
+        x, p = base.index(f"X_{i}"), base.index(f"P_{i}")
+        c[x, p, -1], c[p, x, -1] = 1j, -1j
+    return StructureTable._derived(names, c)
 
 
 # --- plain-text serialization -------------------------------------------
@@ -311,12 +290,13 @@ def dumps(tbl, header=None):
         for h in header.splitlines():
             lines.append("# " + h)
     lines.append("generators: " + " ".join(tbl.names))
-    for (a, b) in sorted(tbl._c):
-        terms = tbl._c[(a, b)]
-        rhs = " + ".join(
-            f"{format_coefficient(terms[e])}*{tbl.names[e]}"
-            for e in sorted(terms))
-        lines.append(f"[{tbl.names[a]},{tbl.names[b]}] = {rhs}")
+    terms = {}  # (a, b) with a < b -> its nonzero terms, in index order
+    for a, b, e in np.argwhere(tbl.c != 0).tolist():
+        if a < b:
+            terms.setdefault((a, b), []).append(
+                f"{format_coefficient(tbl.c[a, b, e])}*{tbl.names[e]}")
+    for (a, b), rhs in terms.items():
+        lines.append(f"[{tbl.names[a]},{tbl.names[b]}] = {' + '.join(rhs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -359,6 +339,9 @@ def loads(text):
             except ValueError:
                 raise ParseError(f"bad coefficient {coeff_s.strip()!r}",
                                  line_no) from None
+            if not cmath.isfinite(coeff):
+                raise ParseError(
+                    f"non-finite coefficient {coeff_s.strip()!r}", line_no)
             terms[gen.strip()] = terms.get(gen.strip(), 0) + coeff
         key = (a, b)
         if key in brackets:

@@ -326,9 +326,7 @@ def run_algebra_verify(cfg):
         entry = {"dim": tbl.dim, "jacobi_residual": algebra.jacobi_defect(tbl)}
         blocks.append(f"# table {name}\n" + algebra.dumps(tbl))
         for k in cfg["k"]:
-            params = algebra.ContractionParams(k=k)
-            scaled = algebra.default_scaled_set(tbl)
-            ctbl = algebra.contract(tbl, params) if scaled else tbl
+            ctbl = algebra.contract(tbl, algebra.ContractionParams(k=k))
             entry[f"jacobi_residual_k={_fmt(k)}"] = algebra.jacobi_defect(ctbl)
             if "X_1" in tbl.names and "P_1" in tbl.names:
                 br = algebra.bracket("X_1", "P_1", ctbl)

@@ -50,7 +50,10 @@ class CoherentLabel:
             raise ValidationError("axis count d must be >= 1")
         object.__setattr__(self, "p", _axis_vec(self.p, self.d, "p"))
         object.__setattr__(self, "x", _axis_vec(self.x, self.d, "x"))
-        object.__setattr__(self, "theta", float(self.theta))
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValidationError(f"theta must be finite, got {theta}")
+        object.__setattr__(self, "theta", theta)
 
     @property
     def alpha(self):

@@ -15,6 +15,7 @@ decouples from (p, x) as k -> infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,13 @@ def _vec3(v, name):
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} has non-finite entries")
     return v
+
+
+def _scalar(x, name):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {x}")
+    return x
 
 
 def omega_from_vector(w):
@@ -53,15 +61,16 @@ class GalileiElement:
     A: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "B", float(self.B))
+        object.__setattr__(self, "B", _scalar(self.B, "B"))
         object.__setattr__(self, "V", _vec3(self.V, "V"))
         object.__setattr__(self, "A", _vec3(self.A, "A"))
         R = np.asarray(self.R, dtype=float)
         if R.shape != (3, 3):
             raise ValidationError("R must be a 3x3 matrix")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > ORTHO_TOL:
+        # written as not (err <= tol) so that NaN entries fail too
+        if not np.max(np.abs(R.T @ R - np.eye(3))) <= ORTHO_TOL:
             raise ValidationError("R is not orthogonal within 1e-9")
-        if abs(np.linalg.det(R) - 1.0) > ORTHO_TOL:
+        if not abs(np.linalg.det(R) - 1.0) <= ORTHO_TOL:
             raise ValidationError("R must have determinant +1")
         object.__setattr__(self, "R", R)
 
@@ -91,8 +100,8 @@ class InfinitesimalElement:
     thetabar: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "thetabar", float(self.thetabar))
+        object.__setattr__(self, "b", _scalar(self.b, "b"))
+        object.__setattr__(self, "thetabar", _scalar(self.thetabar, "thetabar"))
         for name in ("v", "a", "pbar", "xbar"):
             object.__setattr__(self, name, _vec3(getattr(self, name), name))
         omega = np.asarray(self.omega, dtype=float)
@@ -100,6 +109,8 @@ class InfinitesimalElement:
             raise ValidationError("omega must be a 3x3 matrix")
         if not np.array_equal(omega, -omega.T):
             raise ValidationError("omega must be exactly antisymmetric")
+        if not np.all(np.isfinite(omega)):
+            raise ValidationError("omega has non-finite entries")
         object.__setattr__(self, "omega", omega)
 
 
@@ -109,7 +120,7 @@ class SpaceTime:
     x: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _scalar(self.t, "t"))
         object.__setattr__(self, "x", _vec3(self.x, "x"))
 
 
@@ -120,7 +131,7 @@ class Config:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _vec3(self.x, "x"))
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +143,7 @@ class Phase:
     def __post_init__(self):
         object.__setattr__(self, "p", _vec3(self.p, "p"))
         object.__setattr__(self, "x", _vec3(self.x, "x"))
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
 
 
 def apply_galilei(g, pt):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from galq import algebra
 from galq.errors import LimitDivergenceError, ParseError, ValidationError
@@ -85,9 +86,8 @@ def test_jacobi_defect_zero_for_shipped_tables():
 def test_jacobi_defect_detects_broken_table():
     # corrupt one bracket: [J_1, J_2] = J_3 -> 2 J_3 breaks Jacobi
     tbl = algebra.g3s_table()
-    brackets = {(tbl.names[a], tbl.names[b]):
-                {tbl.names[e]: v for e, v in terms.items()}
-                for (a, b), terms in tbl.items()}
+    brackets = {(a, b): algebra.bracket(a, b, tbl)
+                for i, a in enumerate(tbl.names) for b in tbl.names[i + 1:]}
     brackets[("J_1", "J_2")] = {"J_3": 2.0}
     bad = algebra.StructureTable(tbl.names, brackets)
     assert algebra.jacobi_defect(bad) > 0.5
@@ -139,11 +139,8 @@ def test_unscale_inverts_contract(k):
     params = algebra.ContractionParams(k=k)
     back = algebra.unscale(algebra.contract(tbl, params), params)
     assert back.names == tbl.names
-    for (a, b), terms in tbl.items():
-        round_tripped = back.bracket_indices(a, b)
-        assert set(round_tripped) == set(terms)
-        for e, coeff in terms.items():
-            assert abs(round_tripped[e] - coeff) <= 1e-12
+    assert np.array_equal(back.c != 0, tbl.c != 0)
+    assert np.max(np.abs(back.c - tbl.c)) <= 1e-12
 
 
 def test_contraction_limit_decouples_central_generator():
@@ -228,3 +225,131 @@ def test_unknown_generator_rejected():
     tbl = algebra.hr3_table()
     with pytest.raises(ValidationError):
         algebra.bracket("X_1", "K_1", tbl)
+
+
+HR3_ROTATIONS = """\
+generators: J_1 J_2 J_3 X_1 X_2 X_3 P_1 P_2 P_3 I
+[J_1,J_2] = 1.0*J_3
+[J_1,J_3] = -1.0*J_2
+[J_1,X_2] = 1.0*X_3
+[J_1,X_3] = -1.0*X_2
+[J_1,P_2] = 1.0*P_3
+[J_1,P_3] = -1.0*P_2
+[J_2,J_3] = 1.0*J_1
+[J_2,X_1] = -1.0*X_3
+[J_2,X_3] = 1.0*X_1
+[J_2,P_1] = -1.0*P_3
+[J_2,P_3] = 1.0*P_1
+[J_3,X_1] = 1.0*X_2
+[J_3,X_2] = -1.0*X_1
+[J_3,P_1] = 1.0*P_2
+[J_3,P_2] = -1.0*P_1
+"""
+
+
+@pytest.mark.parametrize("k, coeff", [(2.0, "0.25j"), (10.0, "0.01j"),
+                                      (1000.0, "1e-06j"), (None, None)])
+def test_dumps_text_of_contracted_hr3(k, coeff):
+    tbl = algebra.hr3_table()
+    if k is None:  # the contraction limit: the X-P brackets drop out
+        text, want = algebra.dumps(algebra.contraction_limit(tbl)), ""
+    else:
+        text = algebra.dumps(algebra.contract(tbl, algebra.ContractionParams(k=k)))
+        want = "".join(f"[X_{i},P_{i}] = {coeff}*I\n" for i in (1, 2, 3))
+    assert text == HR3_ROTATIONS + want
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(1, -math.inf)])
+def test_nonfinite_coefficient_rejected(coeff):
+    with pytest.raises(ValidationError, match="is not finite"):
+        algebra.StructureTable(("X_1", "P_1", "I"),
+                               {("X_1", "P_1"): {"I": coeff}})
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "(1+infj)"])
+def test_parse_rejects_nonfinite_coefficient(coeff):
+    text = f"generators: X_1 P_1 I\n[X_1,P_1] = {coeff}*I\n"
+    with pytest.raises(ParseError, match="line 2: non-finite coefficient"):
+        algebra.loads(text)
+
+
+NAMES = ("J_1", "J_2", "J_3", "X_1", "X_2", "X_3", "P_1", "P_2", "P_3", "I")
+# nonzero, with |y| in [1e-300, 1e301): k**2 <= 1e6 neither overflows nor
+# underflows them
+REALS = st.builds(lambda sign, mantissa, exp10: sign * mantissa * 10.0**exp10,
+                  st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99),
+                  st.integers(-300, 300))
+COEFFS = st.one_of(REALS.map(complex), REALS.map(lambda y: complex(0.0, y)),
+                   st.builds(complex, REALS, REALS))
+
+
+@st.composite
+def tables(draw):
+    """Random antisymmetric tables on a subset of the generator names."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    brackets = {}
+    if pairs:
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            terms = draw(st.dictionaries(st.sampled_from(names), COEFFS,
+                                         min_size=1, max_size=3))
+            if draw(st.booleans()):  # either orientation of the pair
+                a, b, terms = b, a, {e: -v for e, v in terms.items()}
+            brackets[(a, b)] = terms
+    return algebra.StructureTable(names, brackets)
+
+
+EXTREME = algebra.StructureTable(
+    ("X_1", "P_1", "I"),
+    {("X_1", "P_1"): {"I": 1e300j, "X_1": -1e-300},
+     ("P_1", "I"): {"P_1": complex(1e-300, 1e300)}})
+
+
+@given(tables())
+@example(EXTREME)
+def test_dumps_loads_roundtrip(tbl):
+    assert algebra.loads(algebra.dumps(tbl)) == tbl
+
+
+@given(tables(), st.floats(1.0, 1e3))
+@example(EXTREME, 1e3)
+def test_unscale_recovers_constants(tbl, k):
+    params = algebra.ContractionParams(k=k)
+    back = algebra.unscale(algebra.contract(tbl, params), params)
+    assert np.array_equal(back.c != 0, tbl.c != 0)
+    scale = np.max(np.abs(tbl.c), initial=0.0)
+    assert np.max(np.abs(back.c - tbl.c), initial=0.0) <= 1e-12 * scale
+
+
+def python_rescaled(tbl, params, direction):
+    """Per-bracket reference for contract/unscale in Python complex
+    arithmetic: coeff * k**m for m >= 0 and coeff / k**-m for m < 0."""
+    scaled = params.scaled or algebra.default_scaled_set(tbl)
+    n = [int(name in scaled) for name in tbl.names]
+    want = np.zeros_like(tbl.c)
+    for a, b, e in np.argwhere(tbl.c != 0):
+        if a < b:
+            coeff, k = complex(tbl.c[a, b, e]), params.k
+            m = direction * (n[e] - n[a] - n[b])
+            new = coeff * k**m if m >= 0 else coeff / k**-m
+            want[a, b, e], want[b, a, e] = new, -new
+    return want
+
+
+def bits(z):
+    return z.view(np.int64).reshape(z.shape + (2,))
+
+
+@given(tables(), st.floats(1.0, 1e3),
+       st.lists(st.sampled_from(NAMES), unique=True))
+@example(EXTREME, 137.0, [])
+@example(EXTREME, 3.0, ["I"])
+def test_rescaling_is_bitwise_the_per_bracket_arithmetic(tbl, k, scaled):
+    params = algebra.ContractionParams(
+        k=k, scaled=[name for name in scaled if name in tbl.names])
+    for op, direction in ((algebra.contract, 1), (algebra.unscale, -1)):
+        got, want = op(tbl, params).c, python_rescaled(tbl, params, direction)
+        assert np.array_equal(got, want)
+        # same bits, down to the sign of a zero real or imaginary part
+        nonzero = want != 0
+        assert np.array_equal(bits(got)[nonzero], bits(want)[nonzero])

@@ -56,6 +56,18 @@ def test_algebra_verify_corrupt_table_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff", ["nan", "inf"])
+def test_algebra_verify_nonfinite_table_exits_1(tmp_path, coeff, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text(f"generators: X_1 P_1 I\n[X_1,P_1] = {coeff}*I\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["algebra", "verify", "--table", str(table),
+                "--outdir", str(out)]) == 1
+    assert "line 2: non-finite coefficient" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_coset_orbit_boost_grows_linearly(tmp_path):
     assert run(["coset", "orbit", "--coset", "spacetime", "--v", "1,0,0",
                 "--point", "1,0,0,0", "--steps", "4", "--dt", "0.5",

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from galq import coset
+from galq import coherent, coset
 from galq.algebra import ContractionParams
 from galq.errors import ValidationError
 
@@ -93,6 +94,30 @@ def test_associativity():
         left = coset.compose(coset.compose(g1, g2), g3)
         right = coset.compose(g1, coset.compose(g2, g3))
         assert np.max(np.abs(left.as_matrix() - right.as_matrix())) <= 1e-12
+
+
+COORD = st.floats(-10.0, 10.0)
+VEC3 = st.tuples(COORD, COORD, COORD)
+ANGLES = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+ELEMENTS = st.builds(
+    lambda b, v, w, a: coset.GalileiElement(
+        B=b, V=v, R=expm(coset.omega_from_vector(w)), A=a),
+    COORD, VEC3, ANGLES, VEC3)
+
+
+@given(ELEMENTS, ELEMENTS, COORD, VEC3)
+def test_group_law_property(g1, g2, t, x):
+    pt = coset.SpaceTime(t, x)
+    lhs = coset.apply_galilei(g1, coset.apply_galilei(g2, pt))
+    rhs = coset.apply_galilei(coset.compose(g1, g2), pt)
+    assert np.max(np.abs(as_tuple(lhs) - as_tuple(rhs))) <= 1e-12
+
+
+@given(ELEMENTS, ELEMENTS, ELEMENTS)
+def test_compose_associative_property(g1, g2, g3):
+    left = coset.compose(coset.compose(g1, g2), g3)
+    right = coset.compose(g1, coset.compose(g2, g3))
+    assert np.max(np.abs(left.as_matrix() - right.as_matrix())) <= 1e-12
 
 
 def test_infinitesimal_spacetime_examples():
@@ -254,3 +279,26 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         coset.contracted_action(coset.InfinitesimalElement(),
                                 coset.Phase(p=np.zeros(3), x=np.zeros(3)))
+
+
+NAN, INF = float("nan"), float("inf")
+OMEGA_INF = np.array([[0.0, INF, 0.0], [-INF, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: coset.GalileiElement(R=np.full((3, 3), NAN)),
+    lambda: coset.GalileiElement(B=NAN),
+    lambda: coset.GalileiElement(B=INF),
+    lambda: coset.SpaceTime(NAN, (0.0, 0.0, 0.0)),
+    lambda: coset.Config((0.0, 0.0, 0.0), theta=INF),
+    lambda: coset.Phase((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), theta=NAN),
+    lambda: coset.InfinitesimalElement(b=NAN),
+    lambda: coset.InfinitesimalElement(thetabar=INF),
+    lambda: coset.InfinitesimalElement(omega=OMEGA_INF),
+    lambda: coherent.CoherentLabel(0.0, 0.0, theta=NAN),
+], ids=["R-nan", "B-nan", "B-inf", "t-nan", "config-theta-inf",
+        "phase-theta-nan", "b-nan", "thetabar-inf", "omega-inf",
+        "label-theta-nan"])
+def test_nonfinite_coset_and_label_inputs_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
