@@ -57,20 +57,22 @@ class StructureTable:
         self.dim = len(names)
         self._index = {name: i for i, name in enumerate(names)}
         c = np.zeros((self.dim,) * 3, dtype=complex)
+        given = set()  # (a, b) and (b, a) of every bracket seen so far
         for (a, b), terms in brackets.items():
             ia, ib = self.index(a), self.index(b)
-            if ia == ib:
-                if any(coeff != 0 for coeff in terms.values()):
-                    raise ValidationError(
-                        f"[{names[ia]},{names[ia]}] must vanish")
-                continue
             row = np.zeros(self.dim, dtype=complex)
             for e, coeff in terms.items():
+                ie = self.index(e)  # a zero term must still name a generator
                 coeff = complex(coeff)
                 if coeff != 0:
-                    row[self.index(e)] = coeff
-            if not c[ia, ib].any():
+                    row[ie] = coeff
+            if ia == ib:
+                if row.any():
+                    raise ValidationError(
+                        f"[{names[ia]},{names[ia]}] must vanish")
+            elif (ia, ib) not in given:
                 c[ia, ib], c[ib, ia] = row, -row
+                given.update(((ia, ib), (ib, ia)))
             elif not np.array_equal(c[ia, ib], row):
                 raise ValidationError(
                     "antisymmetry broken: [%s,%s] and [%s,%s] disagree"

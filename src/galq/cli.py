@@ -579,11 +579,21 @@ def run_contract_sweep(cfg):
 
 
 def run_contract_classical(cfg):
-    if cfg["kind"] == "quartic" and cfg["t_final"] == 0:
-        # every deviation is then roundoff, and their ratio means nothing
-        raise ValidationError(
-            "--t-final must be > 0 for --kind quartic: at t = 0 there is "
-            "no dynamics to compare")
+    if cfg["kind"] == "quartic":
+        # each of these makes every deviation roundoff or exactly 0, so
+        # their ratio and monotonicity mean nothing
+        if cfg["t_final"] == 0:
+            raise ValidationError(
+                "--t-final must be > 0 for --kind quartic: at t = 0 there "
+                "is no dynamics to compare")
+        if cfg["lam"] == 0:
+            raise ValidationError(
+                "--lam must be > 0 for --kind quartic: at lam = 0 the flow "
+                "is harmonic and there is no classical limit to approach")
+        if cfg["x0"] == 0 and cfg["p0"] == 0:
+            raise ValidationError(
+                "--x0 and --p0 must not both be 0 for --kind quartic: the "
+                "origin is a fixed point of both flows")
     rep = contraction.classical_trajectory_emergence(
         cfg["x0"], cfg["p0"], cfg["hbar_grid"], kind=cfg["kind"],
         lam=cfg["lam"], t_final=cfg["t_final"])

@@ -15,6 +15,7 @@ which the Fock-space inner product reproduces at hbar = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -164,6 +165,11 @@ def coherent_amplitudes(label, n_levels):
     return StateVector(n_levels, amps * np.exp(1j * label.theta))
 
 
+def _axes(l1, l2):
+    """Per-axis (x1, p1, x2, p2) of two matched labels, as plain floats."""
+    return zip(l1.x.tolist(), l1.p.tolist(), l2.x.tolist(), l2.p.tolist())
+
+
 def overlap_analytic(l1, l2, hbar=1.0):
     """<l1|l2> from the closed-form kernel; factorizes over axes.
 
@@ -173,11 +179,13 @@ def overlap_analytic(l1, l2, hbar=1.0):
     _check_matched(l1, l2)
     if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
-    phase = (float(l1.x @ l2.p - l1.p @ l2.x) / (2.0 * hbar)
-             + (l2.theta - l1.theta))
-    decay = (float(np.sum((l1.x - l2.x) ** 2) + np.sum((l1.p - l2.p) ** 2))
-             / (4.0 * hbar))
-    return complex(np.exp(1j * phase - decay))
+    cross = sep = 0.0
+    for x1, p1, x2, p2 in _axes(l1, l2):
+        dx, dp = x1 - x2, p1 - p2
+        cross += x1 * p2 - p1 * x2
+        sep += dx * dx + dp * dp
+    phase = cross / (2.0 * hbar) + (l2.theta - l1.theta)
+    return cmath.exp(1j * phase - sep / (4.0 * hbar))
 
 
 def matrix_element_xp(l1, l2, hbar=1.0):
@@ -188,8 +196,13 @@ def matrix_element_xp(l1, l2, hbar=1.0):
     Diagonal elements reduce to the labels themselves.
     """
     ov = overlap_analytic(l1, l2, hbar)
-    mx = ((l1.x + l2.x) - 1j * (l1.p - l2.p)) / 2.0 * ov
-    mp = ((l1.p + l2.p) + 1j * (l1.x - l2.x)) / 2.0 * ov
+    mx, mp = [], []
+    for x1, p1, x2, p2 in _axes(l1, l2):
+        mx.append(((x1 + x2) - 1j * (p1 - p2)) / 2.0)
+        mp.append(((p1 + p2) + 1j * (x1 - x2)) / 2.0)
+    # numpy's complex product, not Python's: the two can differ in the
+    # last bit, and the published kernel tables are numpy's
+    mx, mp = np.array((mx, mp)) * ov
     if l1.d == 1:
         return complex(mx[0]), complex(mp[0])
     return mx, mp

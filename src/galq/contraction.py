@@ -354,6 +354,8 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
         raise ValidationError("t_final must be >= 0")
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
+    if kind == "quartic" and not (0 <= lam < math.inf):
+        raise ValidationError("quartic coupling lam must be >= 0")
     times = np.linspace(0.0, t_final, n_samples) if t_final > 0 else np.zeros(1)
     cx, cp = classical_flow(x0, p0, times, kind=kind, lam=lam)
     devs = np.empty(len(hbar_grid))

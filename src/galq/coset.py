@@ -30,7 +30,7 @@ def _vec3(v, name):
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValidationError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValidationError(f"{name} has non-finite entries")
     return v
 
@@ -40,6 +40,15 @@ def _scalar(x, name):
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x}")
     return x
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 def omega_from_vector(w):
@@ -67,10 +76,14 @@ class GalileiElement:
         R = np.asarray(self.R, dtype=float)
         if R.shape != (3, 3):
             raise ValidationError("R must be a 3x3 matrix")
-        # written as not (err <= tol) so that NaN entries fail too
-        if not np.max(np.abs(R.T @ R - np.eye(3))) <= ORTHO_TOL:
+        c0, c1, c2 = zip(*R.tolist())  # the columns
+        gram = (_dot3(c0, c0) - 1.0, _dot3(c1, c1) - 1.0, _dot3(c2, c2) - 1.0,
+                _dot3(c0, c1), _dot3(c0, c2), _dot3(c1, c2))
+        # written as not (err <= tol) so that NaN entries fail too; a
+        # non-finite entry makes its column's squared norm inf or NaN
+        if not all(abs(err) <= ORTHO_TOL for err in gram):
             raise ValidationError("R is not orthogonal within 1e-9")
-        if not abs(np.linalg.det(R) - 1.0) <= ORTHO_TOL:
+        if not abs(_dot3(c0, _cross3(c1, c2)) - 1.0) <= ORTHO_TOL:
             raise ValidationError("R must have determinant +1")
         object.__setattr__(self, "R", R)
 
@@ -147,10 +160,9 @@ class Phase:
 
 
 def apply_galilei(g, pt):
-    """Finite action (t, x) -> (t + B, V t + R x + A) via the 5x5 matrix."""
-    col = np.concatenate(([pt.t], pt.x, [1.0]))
-    out = g.as_matrix() @ col
-    return SpaceTime(t=out[0], x=out[1:4])
+    """Finite action (t, x) -> (t + B, V t + R x + A), the action of the
+    5x5 matrix ``g.as_matrix()`` on the column (t, x, 1)."""
+    return SpaceTime(t=pt.t + g.B, x=g.V * pt.t + g.R @ pt.x + g.A)
 
 
 def compose(g1, g2):

@@ -100,6 +100,23 @@ def test_antisymmetry_violation_rejected():
             {("X_1", "P_1"): {"I": 1j}, ("P_1", "X_1"): {"I": 1j}})
 
 
+@pytest.mark.parametrize("first, second", [
+    ((("X_1", "P_1"), {"I": 0.0}), (("P_1", "X_1"), {"I": 1j})),
+    ((("P_1", "X_1"), {"I": 1j}), (("X_1", "P_1"), {"I": 0.0})),
+], ids=["zero-first", "zero-second"])
+def test_zero_orientation_disagreement_rejected_in_either_order(first, second):
+    with pytest.raises(ValidationError, match="antisymmetry broken"):
+        algebra.StructureTable(("X_1", "P_1", "I"), dict((first, second)))
+
+
+def test_zero_term_generator_is_resolved():
+    with pytest.raises(ParseError, match="unknown generator 'Q_9'"):
+        algebra.loads("generators: X_1 P_1 I\n"
+                      "[X_1,P_1] = 0.0*Q_9 + 1.0j*I\n")
+    with pytest.raises(ValidationError, match="unknown generator 'Q_9'"):
+        algebra.StructureTable(("X_1", "I"), {("X_1", "X_1"): {"Q_9": 0.0}})
+
+
 def test_self_bracket_must_vanish():
     with pytest.raises(ValidationError):
         algebra.StructureTable(("X_1", "I"), {("X_1", "X_1"): {"I": 1.0}})

@@ -264,13 +264,19 @@ def test_contract_sweep_two_point_grid_has_no_stderr(tmp_path):
     assert pair["slope_stderr"] is None and pair["pass"] is True
 
 
-def test_contract_classical_zero_deviation_has_no_ratio(tmp_path):
-    # parity keeps <X> and <P> of the vacuum at 0, as in the classical flow
-    assert run(["contract", "classical", "--kind", "quartic", "--x0", "0",
-                "--p0", "0", "--outdir", str(tmp_path)]) == 0
-    res = strict_json(tmp_path / "contract_classical.json")["results"]
-    assert res["max_deviation"] == [0.0] * 4
-    assert res["first_to_last_ratio"] is None and res["nonincreasing"]
+@pytest.mark.parametrize("flags, message", [
+    # at lam = 0 every deviation is roundoff (2.7e-14 ... 5.9e-12)
+    (["--lam", "0"], "--lam must be > 0 for --kind quartic"),
+    (["--lam", "-0.5"], "quartic coupling lam must be >= 0"),
+    # parity keeps <X> and <P> of the vacuum at 0: every deviation is 0
+    (["--x0", "0", "--p0", "0"], "--x0 and --p0 must not both be 0"),
+], ids=["lam-zero", "lam-negative", "origin"])
+def test_contract_classical_degenerate_quartic_exits_1(tmp_path, capsys,
+                                                       flags, message):
+    assert run(["contract", "classical", "--kind", "quartic", *flags,
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"galq: error: {message}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_contract_classical_quartic_zero_time_exits_1(tmp_path, capsys):

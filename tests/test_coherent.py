@@ -216,6 +216,43 @@ def test_overlap_validation():
         coherent.overlap_analytic(lab, two_axis, 1.0)
 
 
+DYADIC = st.integers(-64, 64).map(lambda k: k / 32.0)
+
+
+@st.composite
+def label_pairs(draw):
+    """Two d-axis labels (d = 1, 2, 3) and hbar, all dyadic."""
+    d = draw(st.integers(1, 3))
+    axis = st.lists(DYADIC, min_size=d, max_size=d)
+    l1, l2 = (coherent.CoherentLabel(draw(axis), draw(axis), draw(DYADIC), d)
+              for _ in range(2))
+    return l1, l2, draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+
+
+@given(label_pairs())
+def test_kernels_match_the_closed_form(pair):
+    # dyadic labels and hbar make every sum and product in the exponents
+    # exact, so the bound compares the closed form, not a summation order
+    l1, l2, hbar = pair
+    x1, p1, x2, p2 = l1.x, l1.p, l2.x, l2.p
+    ov = (np.exp(1j * (x1 @ p2 - p1 @ x2) / (2.0 * hbar))
+          * np.exp(-(np.sum((x1 - x2) ** 2) + np.sum((p1 - p2) ** 2))
+                   / (4.0 * hbar))
+          * np.exp(1j * (l2.theta - l1.theta)))
+    got = coherent.overlap_analytic(l1, l2, hbar)
+    assert type(got) is complex
+    assert abs(got - ov) <= 1e-15 * abs(ov)
+    mx, mp = coherent.matrix_element_xp(l1, l2, hbar)
+    if l1.d == 1:
+        assert type(mx) is complex and type(mp) is complex
+    np.testing.assert_allclose(np.atleast_1d(mx),
+                               ((x1 + x2) - 1j * (p1 - p2)) / 2.0 * ov,
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(np.atleast_1d(mp),
+                               ((p1 + p2) + 1j * (x1 - x2)) / 2.0 * ov,
+                               rtol=1e-15, atol=0)
+
+
 def test_matrix_elements_diagonal_are_labels():
     lab = coherent.CoherentLabel(0.75, -1.25)
     mx, mp = coherent.matrix_element_xp(lab, lab, 0.3)

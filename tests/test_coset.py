@@ -120,6 +120,13 @@ def test_compose_associative_property(g1, g2, g3):
     assert np.max(np.abs(left.as_matrix() - right.as_matrix())) <= 1e-12
 
 
+@given(ELEMENTS, COORD, VEC3)
+def test_apply_galilei_is_the_affine_matrix_action(g, t, x):
+    out = coset.apply_galilei(g, coset.SpaceTime(t, x))
+    want = g.as_matrix() @ np.array([t, *x, 1.0])
+    np.testing.assert_allclose(as_tuple(out), want[:4], rtol=0, atol=1e-12)
+
+
 def test_infinitesimal_spacetime_examples():
     pt = coset.SpaceTime(2.0, (1.0, 0.0, -1.0))
     zero = coset.InfinitesimalElement()
@@ -302,3 +309,29 @@ OMEGA_INF = np.array([[0.0, INF, 0.0], [-INF, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def test_nonfinite_coset_and_label_inputs_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def _r_with(value):
+    r = np.eye(3)
+    r[1, 2] = value
+    return r
+
+
+NONFINITE = (NAN, INF, -INF)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # R^T R - I then has the entry (1 + 2e-9) - 1
+    ({"R": np.diag([math.sqrt(1.0 + 2e-9), 1.0, 1.0])},
+     "R is not orthogonal within 1e-9"),
+    ({"R": np.diag([1.0, 1.0, -1.0])}, "R must have determinant +1"),
+    *[({"B": v}, f"B must be finite, got {v}") for v in NONFINITE],
+    *[({"V": (0.0, v, 0.0)}, "V has non-finite entries") for v in NONFINITE],
+    *[({"R": _r_with(v)}, "R is not orthogonal within 1e-9") for v in NONFINITE],
+    *[({"A": (0.0, 0.0, v)}, "A has non-finite entries") for v in NONFINITE],
+], ids=["R-off-by-2e-9", "R-reflection",
+        *[f"{n}-{v}" for n in "BVRA" for v in ("nan", "inf", "-inf")]])
+def test_galilei_element_rejections_keep_their_messages(kwargs, message):
+    with pytest.raises(ValidationError) as err:
+        coset.GalileiElement(**kwargs)
+    assert str(err.value) == message
