@@ -369,7 +369,6 @@ def run_coset_orbit(cfg):
     steps, dt = cfg["steps"], cfg["dt"]
     if steps < 1 or dt <= 0:
         raise ValidationError("steps must be >= 1 and dt positive")
-    rows = []
     if kind == "spacetime":
         rot = _vec(cfg["rot"], "rot")
         g = coset.GalileiElement(B=cfg["b"] * dt, V=_vec(cfg["v"], "v") * dt,
@@ -377,11 +376,10 @@ def run_coset_orbit(cfg):
                                  A=_vec(cfg["a"], "a") * dt)
         pt_vals = _vec(cfg["point"] or "0,0,0,0", "spacetime point t,x1,x2,x3", 4)
         pt = coset.SpaceTime(pt_vals[0], pt_vals[1:])
-        header = ["step", "t", "x1", "x2", "x3"]
-        rows.append([0, pt.t, *pt.x])
-        for i in range(1, steps + 1):
-            pt = coset.apply_galilei(g, pt)
-            rows.append([i, pt.t, *pt.x])
+        names = ["t", "x1", "x2", "x3"]
+
+        def step(pt):
+            return coset.apply_galilei(g, pt)
     else:
         e = coset.InfinitesimalElement(
             omega=coset.omega_from_vector(_vec(cfg["omega"], "omega")),
@@ -391,20 +389,20 @@ def run_coset_orbit(cfg):
             pt_vals = _vec(cfg["point"] or "0,0,0,0",
                            "config point x1,x2,x3,theta", 4)
             pt = coset.Config(pt_vals[:3], pt_vals[3])
-            header = ["step", "x1", "x2", "x3", "theta"]
-            rows.append([0, *pt.x, pt.theta])
-            for i in range(1, steps + 1):
-                pt = coset.exp_config_action(e, pt, t=dt)
-                rows.append([i, *pt.x, pt.theta])
+            names = ["x1", "x2", "x3", "theta"]
         else:
             pt_vals = _vec(cfg["point"] or "0,0,0,1,0,0,0",
                            "phase point p1,p2,p3,x1,x2,x3,theta", 7)
             pt = coset.Phase(pt_vals[0:3], pt_vals[3:6], pt_vals[6])
-            header = ["step", "p1", "p2", "p3", "x1", "x2", "x3", "theta"]
-            rows.append([0, *pt.p, *pt.x, pt.theta])
-            for i in range(1, steps + 1):
-                pt = coset.exp_phase_action(e, pt, t=dt)
-                rows.append([i, *pt.p, *pt.x, pt.theta])
+            names = ["p1", "p2", "p3", "x1", "x2", "x3", "theta"]
+
+        def step(pt):
+            return coset.exp_action(e, pt, t=dt)
+    header = ["step", *names]
+    rows = [[0, *coset.coordinates(pt)]]
+    for i in range(1, steps + 1):
+        pt = step(pt)
+        rows.append([i, *coset.coordinates(pt)])
     results = {"n_rows": len(rows), "columns": header,
                "final_row": rows[-1][1:],
                "rows": rows if cfg["format"] == "json" else None}

@@ -1,16 +1,18 @@
-"""Matrix realizations of the group actions on the three coset spaces:
-Newtonian space-time, the quantum configuration coset (x, theta), and the
-quantum phase-space coset (p, x, theta).
+"""Group actions on the three coset spaces: Newtonian space-time, the
+quantum configuration coset (x, theta), and the quantum phase-space coset
+(p, x, theta).
 
-Finite space-time transformations act through a 5x5 affine matrix; the two
-quantum cosets are specified infinitesimally and exponentiated on demand.
-The theta row of the phase coset carries the symplectic cocycle
+Finite space-time transformations act through a 5x5 affine matrix.  A Lie
+algebra element acts on each coset through one generator matrix G on the
+homogeneous column (coordinates(pt), 1): ``exp_action`` is the finite
+action exp(t G), ``contracted_action`` the infinitesimal one, G times the
+column.  The theta row of the phase generator carries the symplectic cocycle
 d(theta) = (pbar.x - xbar.p)/2 + thetabar, which is what the central
 extension adds to the classical transformation law.
 
 Under contraction the cocycle coefficient is the central structure constant
-1/k**2 of the rescaled bracket, so in scaled coordinates the theta row
-decouples from (p, x) as k -> infinity.
+hbar = 1/k**2 of the rescaled bracket, so in scaled coordinates the theta
+row decouples from (p, x) as k -> infinity (hbar = 0).
 """
 
 from __future__ import annotations
@@ -120,10 +122,10 @@ class InfinitesimalElement:
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (3, 3):
             raise ValidationError("omega must be a 3x3 matrix")
-        if not np.array_equal(omega, -omega.T):
-            raise ValidationError("omega must be exactly antisymmetric")
         if not np.all(np.isfinite(omega)):
             raise ValidationError("omega has non-finite entries")
+        if not np.array_equal(omega, -omega.T):
+            raise ValidationError("omega must be exactly antisymmetric")
         object.__setattr__(self, "omega", omega)
 
 
@@ -175,94 +177,80 @@ def compose(g1, g2):
     )
 
 
-def infinitesimal_spacetime(e, pt):
-    """Tangent (dt, dx) = (b, v t + omega x + a)."""
-    return e.b, e.v * pt.t + e.omega @ pt.x + e.a
+# --- one generator per coset, and the actions built from it ---------------
 
-
-def contracted_action(e, pt, params=None, limit=False):
-    """Infinitesimal action in the contracted basis.
-
-    At k = 1 it is the plain action: dtheta = pbar.x + thetabar on Config
-    and (pbar.x - xbar.p)/2 + thetabar, the symplectic cocycle, on Phase.
-    All inputs are read as already-scaled quantities; the only change from
-    the k = 1 action is that the central cocycle in dtheta is multiplied by
-    hbar = 1/k**2.  With ``limit=True`` the strict k -> infinity form is
-    used and dtheta = thetabar exactly.
-    """
-    if limit:
-        hbar = 0.0
-    else:
-        if params is None:
-            raise ValidationError("params required unless limit=True")
-        hbar = params.hbar
-    if isinstance(pt, Phase):
-        dp = e.omega @ pt.p + e.pbar
-        dx = e.omega @ pt.x + e.xbar
-        dtheta = 0.5 * hbar * float(e.pbar @ pt.x - e.xbar @ pt.p) + e.thetabar
-        return dp, dx, dtheta
-    if isinstance(pt, Config):
-        dx = e.omega @ pt.x + e.xbar
-        dtheta = hbar * float(e.pbar @ pt.x) + e.thetabar
-        return dx, dtheta
+def coordinates(pt):
+    """A coset point's coordinates in column order: (t, x) on space-time,
+    (x, theta) on the configuration coset, (p, x, theta) on phase space."""
     if isinstance(pt, SpaceTime):
-        # no central charge acts here; the transformation law is unchanged
-        return infinitesimal_spacetime(e, pt)
+        return np.concatenate(([pt.t], pt.x))
+    if isinstance(pt, Config):
+        return np.concatenate((pt.x, [pt.theta]))
+    if isinstance(pt, Phase):
+        return np.concatenate((pt.p, pt.x, [pt.theta]))
     raise ValidationError(f"unsupported coset point {type(pt).__name__}")
 
 
-# --- generator matrices and finite quantum-coset actions ------------------
+def _split(pt, c):
+    """Coordinates c cut into the fields of pt's coset, in field order."""
+    if isinstance(pt, SpaceTime):
+        return c[0], c[1:4]
+    if isinstance(pt, Config):
+        return c[0:3], c[3]
+    return c[0:3], c[3:6], c[6]
 
-def spacetime_generator(e):
-    """5x5 generator matrix of Galilei transformations on (t, x, 1)."""
-    m = np.zeros((5, 5))
-    m[0, 4] = e.b
-    m[1:4, 0] = e.v
-    m[1:4, 1:4] = e.omega
-    m[1:4, 4] = e.a
+
+def _generator(e, pt, hbar=1.0):
+    """Generator matrix of e on the homogeneous column (coordinates(pt), 1):
+    5x5 on (t, x, 1) and (x, theta, 1), 8x8 on (p, x, theta, 1).  The theta
+    row carries the central cocycle times hbar: pbar.x on the configuration
+    coset, (pbar.x - xbar.p)/2 on phase space."""
+    if isinstance(pt, SpaceTime):
+        m = np.zeros((5, 5))
+        m[0, 4] = e.b
+        m[1:4, 0] = e.v
+        m[1:4, 1:4] = e.omega
+        m[1:4, 4] = e.a
+        return m
+    if isinstance(pt, Phase):
+        m = np.zeros((8, 8))
+        m[0:3, 0:3] = e.omega
+        m[0:3, 7] = e.pbar
+        cocycle = 0.5 * np.concatenate((-e.xbar, e.pbar))
+    else:
+        m = np.zeros((5, 5))
+        cocycle = e.pbar
+    # both quantum columns end in (x, theta, 1)
+    m[-5:-2, -5:-2] = e.omega
+    m[-5:-2, -1] = e.xbar
+    m[-2, :-2] = hbar * cocycle
+    m[-2, -1] = e.thetabar
     return m
 
 
-def config_generator(e):
-    """5x5 generator matrix on the column (x, theta, 1)."""
-    m = np.zeros((5, 5))
-    m[0:3, 0:3] = e.omega
-    m[0:3, 4] = e.xbar
-    m[3, 0:3] = e.pbar
-    m[3, 4] = e.thetabar
-    return m
+def exp_action(e, pt, t=1.0):
+    """Finite action exp(t * generator) on the column (coordinates(pt), 1).
+    For pure translations the generator is nilpotent, so the exponential
+    terminates and theta picks up the Heisenberg-Weyl cocycle exactly."""
+    col = np.append(coordinates(pt), 1.0)
+    return type(pt)(*_split(pt, expm(t * _generator(e, pt)) @ col))
 
 
-def phase_generator(e):
-    """8x8 generator matrix on the column (p, x, theta, 1)."""
-    m = np.zeros((8, 8))
-    m[0:3, 0:3] = e.omega
-    m[0:3, 7] = e.pbar
-    m[3:6, 3:6] = e.omega
-    m[3:6, 7] = e.xbar
-    m[6, 0:3] = -0.5 * e.xbar
-    m[6, 3:6] = 0.5 * e.pbar
-    m[6, 7] = e.thetabar
-    return m
+exp_phase_action = exp_action  # perfbench/workloads.py calls this name
 
 
-def exp_spacetime_action(e, pt, t=1.0):
-    """Finite space-time transformation exp(t * generator) applied to pt."""
-    col = np.concatenate(([pt.t], pt.x, [1.0]))
-    out = expm(t * spacetime_generator(e)) @ col
-    return SpaceTime(t=out[0], x=out[1:4])
+def contracted_action(e, pt, params=None, limit=False):
+    """Infinitesimal action in the contracted basis: the generator built at
+    hbar = 1/k**2 times the column (coordinates(pt), 1), split like the
+    point into (dt, dx), (dx, dtheta) or (dp, dx, dtheta).
 
-
-def exp_config_action(e, pt, t=1.0):
-    col = np.concatenate((pt.x, [pt.theta], [1.0]))
-    out = expm(t * config_generator(e)) @ col
-    return Config(x=out[0:3], theta=out[3])
-
-
-def exp_phase_action(e, pt, t=1.0):
-    """Finite phase-coset transformation; for pure translations the
-    exponential terminates (the phase block is nilpotent) and theta picks
-    up the Heisenberg-Weyl cocycle exactly."""
-    col = np.concatenate((pt.p, pt.x, [pt.theta], [1.0]))
-    out = expm(t * phase_generator(e)) @ col
-    return Phase(p=out[0:3], x=out[3:6], theta=out[6])
+    All inputs are read as already-scaled quantities; the only change from
+    the k = 1 action is the factor hbar on the central cocycle in dtheta.
+    With ``limit=True`` the strict k -> infinity form hbar = 0 is used and
+    dtheta = thetabar exactly.
+    """
+    if not limit and params is None:
+        raise ValidationError("params required unless limit=True")
+    hbar = 0.0 if limit else params.hbar
+    col = np.append(coordinates(pt), 1.0)
+    return _split(pt, _generator(e, pt, hbar) @ col)

@@ -98,6 +98,25 @@ def test_coset_orbit_identity_constant(tmp_path):
     assert len({r.split(",", 1)[1] for r in rows}) == 1
 
 
+def test_coset_orbit_config_translation_closed_form(tmp_path):
+    pbar, xbar, thetabar = (1.0, 0.5, 0.0), (0.2, -0.3, 0.1), 0.25
+    x0, theta0, dt = (1.0, 2.0, 3.0), 0.5, 0.2
+    assert run(["coset", "orbit", "--coset", "config", "--steps", "5",
+                "--dt", str(dt), "--pbar", "1,0.5,0", "--xbar", "0.2,-0.3,0.1",
+                "--thetabar", str(thetabar), "--point", "1,2,3,0.5",
+                "--outdir", str(tmp_path)]) == 0
+    rows = [ln for ln in read(tmp_path / "coset_orbit.csv").decode().splitlines()
+            if ln and not ln.startswith("#") and not ln.startswith("step")]
+    got = np.array([[float(v) for v in r.split(",")] for r in rows])
+    # omega = 0: x + t xbar, theta + t (pbar.x + thetabar) + t^2/2 pbar.xbar
+    t = got[:, 0] * dt
+    want_x = np.add(x0, np.outer(t, xbar))
+    want_theta = (theta0 + t * (np.dot(pbar, x0) + thetabar)
+                  + 0.5 * t * t * np.dot(pbar, xbar))
+    np.testing.assert_allclose(got[:, 1:4], want_x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[:, 4], want_theta, rtol=0, atol=1e-12)
+
+
 def test_coset_orbit_bad_name_exits_1(tmp_path):
     assert run(["coset", "orbit", "--coset", "nonsense",
                 "--outdir", str(tmp_path)]) == 1

@@ -130,10 +130,10 @@ def test_apply_galilei_is_the_affine_matrix_action(g, t, x):
 def test_infinitesimal_spacetime_examples():
     pt = coset.SpaceTime(2.0, (1.0, 0.0, -1.0))
     zero = coset.InfinitesimalElement()
-    dt, dx = coset.infinitesimal_spacetime(zero, pt)
+    dt, dx = coset.contracted_action(zero, pt, K1)
     assert dt == 0.0 and np.all(dx == 0.0)
     b_only = coset.InfinitesimalElement(b=1.0)
-    dt, dx = coset.infinitesimal_spacetime(b_only, pt)
+    dt, dx = coset.contracted_action(b_only, pt, K1)
     assert dt == 1.0 and np.all(dx == 0.0)
 
 
@@ -187,27 +187,20 @@ def test_finite_difference_matches_tangent_at_first_order():
         omega=coset.omega_from_vector(rng.uniform(-1, 1, 3)),
         a=rng.uniform(-1, 1, 3), pbar=rng.uniform(-1, 1, 3),
         xbar=rng.uniform(-1, 1, 3), thetabar=0.3)
-    st_pt = coset.SpaceTime(1.2, rng.uniform(-1, 1, 3))
-    ph_pt = coset.Phase(p=rng.uniform(-1, 1, 3), x=rng.uniform(-1, 1, 3),
-                        theta=0.1)
+    points = (coset.SpaceTime(1.2, rng.uniform(-1, 1, 3)),
+              coset.Phase(p=rng.uniform(-1, 1, 3), x=rng.uniform(-1, 1, 3),
+                          theta=0.1),
+              coset.Config(x=rng.uniform(-1, 1, 3), theta=-0.2))
 
-    def st_coords(h):
-        out = coset.exp_spacetime_action(e, st_pt, t=h)
-        return np.concatenate(([out.t], out.x))
+    def coords(pt, h):
+        return coset.coordinates(coset.exp_action(e, pt, t=h))
 
-    def ph_coords(h):
-        out = coset.exp_phase_action(e, ph_pt, t=h)
-        return np.concatenate((out.p, out.x, [out.theta]))
-
-    dt, dx = coset.infinitesimal_spacetime(e, st_pt)
-    st_tan = np.concatenate(([dt], dx))
-    dp, dx2, dth = coset.contracted_action(e, ph_pt, K1)
-    ph_tan = np.concatenate((dp, dx2, [dth]))
+    tangents = [np.hstack(coset.contracted_action(e, pt, K1)) for pt in points]
     errs = {}
     for h in (1e-3, 1e-4):
-        st_err = np.max(np.abs((st_coords(h) - st_coords(0.0)) / h - st_tan))
-        ph_err = np.max(np.abs((ph_coords(h) - ph_coords(0.0)) / h - ph_tan))
-        errs[h] = max(st_err, ph_err)
+        errs[h] = max(
+            np.max(np.abs((coords(pt, h) - coords(pt, 0.0)) / h - tan))
+            for pt, tan in zip(points, tangents))
         assert errs[h] <= 5.0 * h  # first-order convergence
     assert 4.0 < errs[1e-3] / errs[1e-4] < 25.0
 
@@ -216,7 +209,7 @@ def test_nilpotent_exponential_closed_form():
     # only v and a: exp is the exact polynomial, A picks up the v*b/2 term
     e = coset.InfinitesimalElement(b=2.0, v=(1.0, -0.5, 0.0), a=(0.0, 1.0, 3.0))
     pt = coset.SpaceTime(0.7, (0.1, 0.2, 0.3))
-    out = coset.exp_spacetime_action(e, pt, t=1.0)
+    out = coset.exp_action(e, pt, t=1.0)
     closed = coset.GalileiElement(B=2.0, V=(1.0, -0.5, 0.0),
                                   A=np.asarray((0.0, 1.0, 3.0))
                                   + np.asarray((1.0, -0.5, 0.0)) * 2.0 / 2.0)
@@ -234,6 +227,22 @@ def test_finite_phase_actions_accumulate_weyl_cocycle():
     assert out.theta == pytest.approx(0.25, abs=1e-12)
     np.testing.assert_allclose(out.p, [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(out.x, [0.5, 0.0, 0.0], atol=1e-12)
+
+
+def test_finite_config_action_closed_form():
+    # omega = 0: the generator on (x, theta, 1) is nilpotent of order 3
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        e = coset.InfinitesimalElement(pbar=rng.uniform(-2, 2, 3),
+                                       xbar=rng.uniform(-2, 2, 3),
+                                       thetabar=rng.uniform(-1, 1))
+        pt = coset.Config(x=rng.uniform(-2, 2, 3), theta=rng.uniform(-1, 1))
+        t = rng.uniform(0.1, 2.0)
+        out = coset.exp_action(e, pt, t=t)
+        theta = (pt.theta + t * (e.pbar @ pt.x + e.thetabar)
+                 + 0.5 * t * t * (e.pbar @ e.xbar))
+        np.testing.assert_allclose(out.x, pt.x + t * e.xbar, rtol=0, atol=1e-12)
+        assert out.theta == pytest.approx(theta, rel=0, abs=1e-12)
 
 
 def test_contracted_action_matches_phase_action_at_k1():
@@ -309,6 +318,17 @@ OMEGA_INF = np.array([[0.0, INF, 0.0], [-INF, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def test_nonfinite_coset_and_label_inputs_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize("omega, message", [
+    (np.full((3, 3), NAN), "omega has non-finite entries"),
+    (OMEGA_INF, "omega has non-finite entries"),
+    (np.ones((3, 3)), "omega must be exactly antisymmetric"),
+], ids=["omega-nan", "omega-inf", "omega-symmetric"])
+def test_infinitesimal_element_rejections_keep_their_messages(omega, message):
+    with pytest.raises(ValidationError) as err:
+        coset.InfinitesimalElement(omega=omega)
+    assert str(err.value) == message
 
 
 def _r_with(value):
