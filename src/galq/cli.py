@@ -4,25 +4,30 @@ Subcommands: ``algebra verify``, ``coset orbit``, ``coherent overlap``,
 ``evolve``, ``contract sweep``, ``contract classical``.
 
 Output contract
-  * every run writes a JSON summary {"config", "results", "pass"} and,
-    unless ``--format json``, plot-ready CSV files;
+  * every run ends in :func:`_finish`, the one place that opens output
+    files: it writes a JSON summary {"config", "results", "pass"} and the
+    run's plot-ready data files (CSV, and the structure tables of
+    ``algebra verify``), or nothing when a result is NaN or infinite;
   * every output embeds the fully resolved config and the tool version;
   * identical configs (same seed) produce byte-identical outputs;
   * exit code 0 on success, 1 on input/validation errors, 2 when a
     numerical tolerance check fails.
 
 Config precedence: command-line flags > ``--config`` file (``key = value``
-lines, ``#`` comments) > built-in defaults.  The single honored environment
-variable is GALQ_OUTDIR, which overrides the output directory unless
-``--outdir`` is given explicitly.
+lines, ``#`` comments; a key that is not a flag of the subcommand is an
+error) > built-in defaults.  The single honored environment variable is
+GALQ_OUTDIR, which overrides the output directory unless ``--outdir`` is
+given explicitly.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -37,7 +42,13 @@ ENV_OUTDIR = "GALQ_OUTDIR"
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the exit-code contract
-    reserves 2 for tolerance failures, so remap to 1."""
+    reserves 2 for tolerance failures, so remap to 1.  A word that starts
+    with "-" and a digit or "." (``--point -1,0,0,0``, ``--x0 -1e-1``) is a
+    value, not an unknown flag: no galq flag starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -121,8 +132,6 @@ _COMMON = {
     "outdir": _Flag(str, ".", help="output directory "
                     "(env GALQ_OUTDIR overrides the default)"),
     "seed": _Flag(int, 0, help="seed for randomized checks"),
-    "format": _Flag(str, "csv", ("csv", "json"),
-                    "data file format (default csv)"),
 }
 
 _SCHEMAS = {
@@ -210,10 +219,16 @@ _HELP = {
 
 def _resolve_config(subcommand, args, file_cfg):
     """flags > config file > defaults, plus the outdir env override.
-    A config-file value passes the same conversion and choices as its
-    flag."""
+    A config-file key must name one of the subcommand's flags, and its
+    value passes the same conversion and choices as that flag."""
+    schema = {**_SCHEMAS[subcommand], **_COMMON}
+    unknown = sorted(set(file_cfg) - set(schema))
+    if unknown:
+        raise ValidationError(
+            f"unknown config key {', '.join(map(repr, unknown))}: not a flag "
+            f"of galq {subcommand.replace('_', ' ')}")
     cfg = {"subcommand": subcommand, "version": __version__}
-    for dest, flag in {**_SCHEMAS[subcommand], **_COMMON}.items():
+    for dest, flag in schema.items():
         flag_val = getattr(args, dest, None)
         if flag_val is not None:
             cfg[dest] = flag_val
@@ -246,24 +261,16 @@ def _config_lines(cfg):
     return lines
 
 
-def _write_csv(cfg, name, header, rows):
-    """Plot-ready CSV; none is written under --format json.  rows is a 2-D
-    float array, or a list of rows of numbers and strings."""
-    if cfg["format"] == "json":
-        return
+def _csv(header, rows):
+    """A CSV file's lines: the header, then one line per row.  rows is a
+    2-D float array, or an iterable of rows of numbers and strings."""
+    yield ",".join(header)
     if isinstance(rows, np.ndarray):
-        lines = (",".join(map(repr, row.tolist())) for row in rows)
+        for row in rows:
+            yield ",".join(map(repr, row.tolist()))
     else:
-        lines = (",".join(_fmt(v) if not isinstance(v, str) else v
-                          for v in row) for row in rows)
-    path = os.path.join(cfg["outdir"], name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in _config_lines(cfg):
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-    return path
+        for row in rows:
+            yield ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
 
 
 def _nonfinite_key(obj, key):
@@ -277,26 +284,31 @@ def _nonfinite_key(obj, key):
     return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
 
 
-def _check_finite(name, results):
-    """Raise before anything is written when the results hold a NaN or
-    infinity (the config cannot hold one: _float rejects them).  Runners
-    call it before their first output file."""
-    bad = _nonfinite_key(_jsonable(results), "results")
+def _finish(cfg, stem, results, ok, files, summary, failure):
+    """End a run; the one place that opens output files.
+
+    A NaN or infinity in the results raises before any file is opened (the
+    config cannot hold one: _float rejects them).  Then each data file in
+    files (name -> iterable of lines) is streamed under the config lines,
+    ``stem.json`` gets {"config", "results", "pass"} as strict JSON, the
+    summary is printed, and ToleranceError(failure) is raised unless ok."""
+    results = _jsonable(results)
+    bad = _nonfinite_key(results, "results")
     if bad is not None:
-        raise GalqError(f"{name} not written: {bad} is not finite")
-
-
-def _write_json(cfg, name, results, ok):
-    """Strict JSON: a NaN or infinity in the results raises instead of
-    being written."""
-    _check_finite(name, results)
-    path = os.path.join(cfg["outdir"], name)
-    doc = {"config": _jsonable(cfg), "results": _jsonable(results),
-           "pass": bool(ok)}
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
-    return path
+        raise GalqError(f"{stem}.json not written: {bad} is not finite")
+    outputs = {name: itertools.chain(_config_lines(cfg), lines)
+               for name, lines in files.items()}
+    doc = {"config": _jsonable(cfg), "results": results, "pass": bool(ok)}
+    outputs[f"{stem}.json"] = [json.dumps(doc, indent=2, sort_keys=True,
+                                          allow_nan=False)]
+    for name, lines in outputs.items():
+        with open(os.path.join(cfg["outdir"], name), "w", encoding="utf-8",
+                  newline="") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    print(summary)
+    if not ok:
+        raise ToleranceError(failure)
 
 
 def _vec(text, name, size=3):
@@ -315,7 +327,7 @@ def _vec(text, name, size=3):
 def run_algebra_verify(cfg):
     tol = cfg["tol"]
     results = {"tables": {}}
-    blocks = []
+    blocks = []  # each ends in a newline; a blank line separates them
     if cfg["table"]:
         with open(cfg["table"], "r", encoding="utf-8") as fh:
             tables = {"custom": algebra.loads(fh.read())}
@@ -324,15 +336,15 @@ def run_algebra_verify(cfg):
     worst = ("", 0.0)
     for name, tbl in tables.items():
         entry = {"dim": tbl.dim, "jacobi_residual": algebra.jacobi_defect(tbl)}
-        blocks.append(f"# table {name}\n" + algebra.dumps(tbl))
+        blocks.append(algebra.dumps(tbl, f"table {name}"))
         for k in cfg["k"]:
             ctbl = algebra.contract(tbl, algebra.ContractionParams(k=k))
             entry[f"jacobi_residual_k={_fmt(k)}"] = algebra.jacobi_defect(ctbl)
             if "X_1" in tbl.names and "P_1" in tbl.names:
                 br = algebra.bracket("X_1", "P_1", ctbl)
                 entry[f"x1p1_coeff_I_k={_fmt(k)}"] = br.get("I", 0.0)
-            blocks.append(f"# table {name} contracted at k={_fmt(k)}\n"
-                          + algebra.dumps(ctbl))
+            blocks.append(algebra.dumps(
+                ctbl, f"table {name} contracted at k={_fmt(k)}"))
         if algebra.default_scaled_set(tbl):
             lim = algebra.contraction_limit(tbl)
             entry["jacobi_residual_limit"] = algebra.jacobi_defect(lim)
@@ -340,8 +352,8 @@ def run_algebra_verify(cfg):
             entry["limit_x1p1"] = algebra.bracket("X_1", "P_1", lim) \
                 if has_xp else {}
             entry["limit_central_defect"] = algebra.central_defect(lim)
-            blocks.append(f"# table {name} contraction limit\n"
-                          + algebra.dumps(lim))
+            blocks.append(algebra.dumps(
+                lim, f"table {name} contraction limit"))
         results["tables"][name] = entry
         for key, val in entry.items():
             if key.startswith("jacobi") and val > worst[1]:
@@ -350,17 +362,10 @@ def run_algebra_verify(cfg):
     results["worst_identity"] = worst[0]
     results["worst_residual"] = worst[1]
     results["tolerance"] = tol
-    _check_finite("algebra_verify.json", results)
-    path = os.path.join(cfg["outdir"], "algebra_tables.txt")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in _config_lines(cfg):
-            fh.write(line + "\n")
-        fh.write("\n".join(blocks))
-    _write_json(cfg, "algebra_verify.json", results, ok)
-    print(f"algebra verify: worst residual {worst[1]:.3e} "
-          f"({worst[0] or 'none'}) -> {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        raise ToleranceError(
+    _finish(cfg, "algebra_verify", results, ok,
+            {"algebra_tables.txt": "\n".join(blocks).splitlines()},
+            f"algebra verify: worst residual {worst[1]:.3e} "
+            f"({worst[0] or 'none'}) -> {'PASS' if ok else 'FAIL'}",
             f"Jacobi residual {worst[1]:.3e} > {tol:.1e} for {worst[0]}")
 
 
@@ -404,12 +409,10 @@ def run_coset_orbit(cfg):
         pt = step(pt)
         rows.append([i, *coset.coordinates(pt)])
     results = {"n_rows": len(rows), "columns": header,
-               "final_row": rows[-1][1:],
-               "rows": rows if cfg["format"] == "json" else None}
-    _check_finite("coset_orbit.json", results)
-    _write_csv(cfg, "coset_orbit.csv", header, rows)
-    _write_json(cfg, "coset_orbit.json", results, True)
-    print(f"coset orbit: {kind}, {steps} steps -> PASS")
+               "final_row": rows[-1][1:]}
+    _finish(cfg, "coset_orbit", results, True,
+            {"coset_orbit.csv": _csv(header, rows)},
+            f"coset orbit: {kind}, {steps} steps -> PASS", None)
 
 
 def run_coherent_overlap(cfg):
@@ -453,19 +456,16 @@ def run_coherent_overlap(cfg):
     results = {"max_numeric_gap": worst_gap if check else None,
                "max_self_overlap_error": worst_self,
                "n_pairs": len(rows),
-               "residual_scan": scan,
-               "rows": rows if cfg["format"] == "json" else None}
-    _check_finite("coherent_overlap.json", results)
-    _write_csv(cfg, "coherent_overlap.csv",
-               ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)
+               "residual_scan": scan}
+    files = {"coherent_overlap.csv": _csv(
+        ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)}
     if scan is not None:
-        _write_csv(cfg, "coherent_residual_scan.csv",
-                   ["radius", "step", "residual"], [r[:3] for r in scan])
-    _write_json(cfg, "coherent_overlap.json", results, ok)
-    print(f"coherent overlap: numeric gap "
-          f"{worst_gap:.3e} -> {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        raise ToleranceError("overlap kernel check failed")
+        files["coherent_residual_scan.csv"] = _csv(
+            ["radius", "step", "residual"], [r[:3] for r in scan])
+    _finish(cfg, "coherent_overlap", results, ok, files,
+            f"coherent overlap: numeric gap "
+            f"{worst_gap:.3e} -> {'PASS' if ok else 'FAIL'}",
+            "overlap kernel check failed")
 
 
 def run_evolve(cfg):
@@ -495,27 +495,24 @@ def run_evolve(cfg):
                "energy_drift": energy_drift, "ray_sensitivity": ray_sens,
                "n_samples": int(straj.times.size),
                "edge_mass": fock.edge_mass(straj.states)}
-    _check_finite("evolve.json", results)
-    if cfg["format"] != "json":
-        coord_header = (["t"] + [f"q_{i}" for i in range(n)]
-                        + [f"p_{i}" for i in range(n)])
-        _write_csv(cfg, "evolve_schrodinger.csv", coord_header,
-                   np.column_stack((straj.times,
-                                    *projective.amplitudes_to_coordinates(
-                                        straj.states, spec.hbar))))
-        _write_csv(cfg, "evolve_hamilton.csv", coord_header,
-                   np.column_stack((ctraj.times, ctraj.q, ctraj.p)))
-        _write_csv(cfg, "evolve_observables.csv",
-                   ["t", "x", "p", "h", "norm"],
-                   np.column_stack((straj.times,
-                                    straj.expectation_series(x_op),
-                                    straj.expectation_series(p_op),
-                                    straj.expectation_series(h_op), norms)))
-    _write_json(cfg, "evolve.json", results, ok)
-    print(f"evolve: deviation {deviation:.3e}, norm drift {norm_drift:.3e}, "
-          f"energy drift {energy_drift:.3e} -> {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        raise ToleranceError("evolution equivalence check failed")
+    coord_header = (["t"] + [f"q_{i}" for i in range(n)]
+                    + [f"p_{i}" for i in range(n)])
+    # the small table first: its temporaries are freed before the
+    # trajectory table is built, so the two never add to the peak memory
+    files = {
+        "evolve_observables.csv": _csv(
+            ["t", "x", "p", "h", "norm"],
+            np.column_stack((straj.times, straj.expectation_series(x_op),
+                             straj.expectation_series(p_op),
+                             straj.expectation_series(h_op), norms))),
+        "evolve_schrodinger.csv": _csv(coord_header, np.column_stack((
+            straj.times,
+            *projective.amplitudes_to_coordinates(straj.states, spec.hbar)))),
+    }
+    _finish(cfg, "evolve", results, ok, files,
+            f"evolve: deviation {deviation:.3e}, norm drift {norm_drift:.3e}, "
+            f"energy drift {energy_drift:.3e} -> {'PASS' if ok else 'FAIL'}",
+            "evolution equivalence check failed")
 
 
 def _parse_pairs(text):
@@ -560,20 +557,17 @@ def run_contract_sweep(cfg):
         entry["pass"] = pair_ok
         ok = ok and pair_ok
         summary.append(entry)
-    _check_finite("contract_sweep.json", {"pairs": summary})
-    for i, rep in enumerate(reports):
-        _write_csv(cfg, f"contract_sweep_pair{i}.csv",
-                   ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
-                   [[h, ov, rx, rp] for h, ov, rx, rp
-                    in zip(rep.hbar, rep.abs_overlap, rep.offdiag_x,
-                           rep.offdiag_p)])
-    _write_json(cfg, "contract_sweep.json", {"pairs": summary}, ok)
-    for entry in summary:
-        print(f"contract sweep pair {entry['pair_index']}: slope "
-              f"{entry['fitted_slope']:.6f} vs {entry['expected_slope']:.6f} "
-              f"-> {'PASS' if entry['pass'] else 'FAIL'}")
-    if not ok:
-        raise ToleranceError("fitted decay slope outside tolerance")
+    files = {f"contract_sweep_pair{i}.csv": _csv(
+        ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
+        zip(rep.hbar, rep.abs_overlap, rep.offdiag_x, rep.offdiag_p))
+        for i, rep in enumerate(reports)}
+    _finish(cfg, "contract_sweep", {"pairs": summary}, ok, files,
+            "\n".join(f"contract sweep pair {entry['pair_index']}: slope "
+                      f"{entry['fitted_slope']:.6f} vs "
+                      f"{entry['expected_slope']:.6f} "
+                      f"-> {'PASS' if entry['pass'] else 'FAIL'}"
+                      for entry in summary),
+            "fitted decay slope outside tolerance")
 
 
 def run_contract_classical(cfg):
@@ -610,15 +604,14 @@ def run_contract_classical(cfg):
         results["nonincreasing"] = mono
         results["criterion"] = (f"deviation ratio >= {_fmt(cfg['min_ratio'])} "
                                 "and nonincreasing")
-    _check_finite("contract_classical.json", results)
-    _write_csv(cfg, "contract_classical.csv", ["hbar", "max_traj_dev"],
-               [[h, d] for h, d in zip(rep.hbar, rep.max_deviation)])
-    _write_json(cfg, "contract_classical.json", results, ok)
-    print(f"contract classical ({cfg['kind']}): deviations "
-          + " ".join(f"{d:.3e}" for d in rep.max_deviation)
-          + f" -> {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        raise ToleranceError("classical emergence check failed")
+    _finish(cfg, "contract_classical", results, ok,
+            {"contract_classical.csv": _csv(
+                ["hbar", "max_traj_dev"],
+                zip(rep.hbar, rep.max_deviation))},
+            f"contract classical ({cfg['kind']}): deviations "
+            + " ".join(f"{d:.3e}" for d in rep.max_deviation)
+            + f" -> {'PASS' if ok else 'FAIL'}",
+            "classical emergence check failed")
 
 
 _RUNNERS = {

@@ -3,6 +3,9 @@
 import argparse
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,10 +150,11 @@ def test_evolve_defaults_pass(tmp_path):
     obs = read(tmp_path / "evolve_observables.csv").decode().splitlines()
     header = [ln for ln in obs if not ln.startswith("#")][0]
     assert header == "t,x,p,h,norm"
-    for name in ("evolve_schrodinger.csv", "evolve_hamilton.csv"):
-        lines = read(tmp_path / name).decode().splitlines()
-        header = [ln for ln in lines if not ln.startswith("#")][0]
-        assert header.startswith("t,q_0,") and ",p_23" in header
+    lines = read(tmp_path / "evolve_schrodinger.csv").decode().splitlines()
+    header = [ln for ln in lines if not ln.startswith("#")][0]
+    assert header.startswith("t,q_0,") and ",p_23" in header
+    # the Hamilton flow is reported only as its deviation from this one
+    assert not (tmp_path / "evolve_hamilton.csv").exists()
 
 
 def test_evolve_reports_edge_mass(tmp_path):
@@ -207,11 +211,44 @@ def test_coherent_overlap_empty_grid_exits_1(tmp_path, points, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_nonfinite_result_is_not_written(tmp_path):
+def test_nonfinite_result_is_not_written(tmp_path, capsys):
     cfg = {"outdir": str(tmp_path), "tol": 1e-6}
-    with pytest.raises(cli.GalqError, match=r"results\.a\[1\] is not finite"):
-        cli._write_json(cfg, "x.json", {"a": [1.0, float("nan")]}, True)
+    with pytest.raises(cli.GalqError,
+                       match=r"x\.json not written: results\.a\[1\] is not finite"):
+        cli._finish(cfg, "x", {"a": [1.0, float("nan")]}, True,
+                    {"x.csv": cli._csv(["a"], [[1.0]])}, "x: PASS", None)
     assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# A small run of each subcommand that writes every file the subcommand can
+SMALL_RUNS = {
+    ("algebra", "verify"): [],
+    ("coset", "orbit"): ["--steps", "2"],
+    ("coherent", "overlap"): ["--n-levels", "64", "--grid-points", "2",
+                              "--residual-scan", "1", "--residual-levels", "4"],
+    ("evolve",): ["--t-final", "0.1", "--n-levels", "16"],
+    ("contract", "sweep"): ["--pairs", "0,0:0,1;0,0:1,0", "--hbar-grid",
+                            "1,0.5"],
+    ("contract", "classical"): ["--hbar-grid", "1,0.1", "--t-final", "0.5"],
+}
+
+
+@pytest.mark.parametrize("words", list(SMALL_RUNS), ids="-".join)
+def test_nonfinite_result_exits_1_writing_nothing(tmp_path, monkeypatch,
+                                                  capsys, words):
+    finish = cli._finish
+
+    def poisoned(cfg, stem, results, *rest):
+        return finish(cfg, stem, {**results, "injected": float("nan")}, *rest)
+
+    monkeypatch.setattr(cli, "_finish", poisoned)
+    out = tmp_path / "out"
+    assert run([*words, *SMALL_RUNS[words], "--outdir", str(out)]) == 1
+    assert "results.injected is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_nonfinite_evolve_result_writes_no_file(tmp_path, monkeypatch,
@@ -355,7 +392,32 @@ def test_env_outdir_override(tmp_path, monkeypatch):
 
 
 def test_bad_flag_exits_1(tmp_path):
-    assert run(["evolve", "--method", "euler", "--outdir", str(tmp_path)]) == 1
+    # every run writes the same files: there is no --format
+    for flags in (["--method", "euler"], ["--format", "csv"]):
+        assert run(["evolve", *flags, "--outdir", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_value_after_space_reads_as_value(tmp_path):
+    # "-1,0,0,0", "-.5,0,0" and "-1e-1" start like a flag, and argparse
+    # by default reads them as one unless written as --flag=value
+    runs = [(["coset", "orbit"], [("--coset", "spacetime"),
+                                  ("--point", "-1,0,0,0"),
+                                  ("--v", "-.5,0,0"), ("--steps", "2")]),
+            (["evolve"], [("--x0", "-1e-1"), ("--p0", "-0.5"),
+                          ("--t-final", "0.1"), ("--n-levels", "16")])]
+    outdir = str(tmp_path)
+    for words, flags in runs:
+        assert run([*words, *(w for flag in flags for w in flag),
+                    "--outdir", outdir]) == 0
+    spaced = {name: read(tmp_path / name) for name in os.listdir(tmp_path)}
+    assert b"# point = -1,0,0,0\n" in spaced["coset_orbit.csv"]
+    assert b"# x0 = -0.1\n" in spaced["evolve_schrodinger.csv"]
+    for words, flags in runs:
+        assert run([*words, *(f"{k}={v}" for k, v in flags),
+                    "--outdir", outdir]) == 0
+    assert {name: read(tmp_path / name)
+            for name in os.listdir(tmp_path)} == spaced
 
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -377,14 +439,38 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert read(tmp_path / name) == blob, f"{name} not reproducible"
 
 
-@pytest.mark.parametrize("line", ["format = xml", "check_numeric = flase"])
-def test_config_file_value_checked_like_its_flag(tmp_path, line, capsys):
+@pytest.mark.parametrize("argv, line", [
+    (["coset", "orbit"], "coset = torus"),
+    (["coherent", "overlap", "--grid-points", "2"], "check_numeric = flase"),
+], ids=["coset = torus", "check_numeric = flase"])
+def test_config_file_value_checked_like_its_flag(tmp_path, argv, line,
+                                                 capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(line + "\n")
-    assert run(["coherent", "overlap", "--config", str(cfgfile),
-                "--grid-points", "2", "--outdir", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(cfgfile), "--outdir", str(out)]) == 1
     assert "config value for" in capsys.readouterr().err
-    assert not (tmp_path / "coherent_overlap.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("hbar_gird = 1,0.5", "'hbar_gird'"),
+    # every run writes the same files: there is no --format
+    ("format = csv", "'format'"),
+    # a flag of another subcommand
+    ("steps = 5", "'steps'"),
+])
+def test_unknown_config_key_exits_1_writing_nothing(tmp_path, line, key,
+                                                    capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("t_final = 0.5\n" + line + "\n")
+    out = tmp_path / "out"
+    assert run(["contract", "classical", "--config", str(cfgfile),
+                "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"galq: error: unknown config key {key}: not a flag of galq "
+        "contract classical\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,want", [
@@ -399,7 +485,7 @@ def test_config_file_booleans(tmp_path, text, want):
     assert doc["config"]["check_numeric"] is want
 
 
-COMMON_FLAGS = {"--help", "--config", "--outdir", "--seed", "--format"}
+COMMON_FLAGS = {"--help", "--config", "--outdir", "--seed"}
 
 # Long flags and choices of each subcommand; a change here changes the CLI.
 CLI_SURFACE = {
@@ -444,14 +530,56 @@ def test_cli_surface():
         choices = {s: tuple(a.choices) for a in parser._actions
                    for s in a.option_strings if a.choices is not None}
         found[words] = (flags, choices)
-    want = {words: (flags | COMMON_FLAGS,
-                    {"--format": ("csv", "json"), **choices})
+    want = {words: (flags | COMMON_FLAGS, choices)
             for words, (flags, choices) in CLI_SURFACE.items()}
     assert found == want
-    assert [len(found[w][0]) for w in CLI_SURFACE] == [8, 17, 18, 16, 9, 13]
+    assert [len(found[w][0]) for w in CLI_SURFACE] == [7, 16, 17, 15, 8, 12]
 
 
 @pytest.mark.parametrize("words", list(CLI_SURFACE))
 def test_help_exits_0(words, capsys):
     assert run([*words, "--help"]) == 0
     assert "--config" in capsys.readouterr().out
+
+
+def _readme_cli_section():
+    return README.read_text(encoding="utf-8").split(
+        "\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_examples_parse():
+    block = re.search(r"```sh\n(.*?)```", _readme_cli_section(), re.S)[1]
+    examples = [ln for ln in block.splitlines() if ln.startswith("galq ")]
+    parser = cli.build_parser()
+    seen = set()
+    for line in examples:
+        try:
+            seen.add(parser.parse_args(shlex.split(line)[1:]).subcommand)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    assert seen == set(cli._SCHEMAS)
+
+
+def _readme_file_table():
+    """Command words -> the file names in its row of the README table."""
+    table = {}
+    for line in _readme_cli_section().splitlines():
+        row = re.fullmatch(r"\| `galq ([a-z ]+)` \| (.*) \|", line)
+        if row:
+            table[tuple(row[1].split())] = re.findall(
+                r"`([\w<>]+\.(?:json|csv|txt))`", row[2])
+    return table
+
+
+@pytest.mark.parametrize("words", list(SMALL_RUNS), ids="-".join)
+def test_readme_file_table_matches_a_run(tmp_path, words):
+    names = _readme_file_table().get(words)
+    assert names, f"no README file-table row for galq {' '.join(words)}"
+    assert run([*words, *SMALL_RUNS[words], "--outdir", str(tmp_path)]) == 0
+    # <i> in a name stands for a pair index
+    patterns = [re.escape(n).replace("<i>", r"\d+") for n in names]
+    written = sorted(os.listdir(tmp_path))
+    assert [w for w in written
+            if not any(re.fullmatch(p, w) for p in patterns)] == []
+    assert [n for n, p in zip(names, patterns)
+            if not any(re.fullmatch(p, w) for w in written)] == []
