@@ -438,11 +438,13 @@ def run_coherent_overlap(cfg):
             ov = coherent.overlap_analytic(l1, l2, hbar)
             rows.append([cfg["p1"], cfg["x1"], p2, x2,
                          ov.real, ov.imag, abs(ov)])
+            # np.maximum keeps a NaN, which max() drops, so _finish refuses it
             if check:
                 s2 = coherent.coherent_state(l2, n).amplitudes
-                worst_gap = max(worst_gap, abs(complex(np.vdot(s1, s2)) - ov))
+                worst_gap = np.maximum(worst_gap,
+                                       abs(complex(np.vdot(s1, s2)) - ov))
             self_ov = coherent.overlap_analytic(l2, l2, hbar)
-            worst_self = max(worst_self, abs(self_ov - 1.0))
+            worst_self = np.maximum(worst_self, abs(self_ov - 1.0))
     ok = worst_self <= 1e-10 and (not check or worst_gap <= cfg["tol"])
     scan = None
     if cfg["residual_scan"]:

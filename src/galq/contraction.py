@@ -13,6 +13,18 @@ Hamiltonian h(x, p) = (p^2 + x^2)/2 + lam x^4 corresponds to the internal
 operator (P^2 + X^2)/2 + lam*hbar*X^4, and the scaled expectation values
 sqrt(hbar) <X>, sqrt(hbar) <P> are the quantities compared against the
 classical flow.
+
+The truncated Hamiltonian is real symmetric, banded and keeps the parity
+of n, so :func:`eigen_propagate` diagonalizes it once per cutoff, one
+``eig_banded`` per parity block (bandwidth 2 for quartic, 1 for free; the
+harmonic blocks are diagonal, W = I), and gives every sampled state as
+W (e^{-iEt} o W^T psi0).  Its cost is that of the two diagonalizations
+plus one real product per block, whatever ||H|| t is.  A Krylov or
+truncated-Taylor propagator costs in proportion to ||H|| t (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 2011), and the quartic term makes ||H||
+grow like N^2.  The eigenbasis costs O(N^3) time and O(N^2) memory, which
+wins at the cutoffs of the hbar >= 1e-3 sweeps (N <= ~1000) and loses
+above a few thousand levels.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eig_banded
 from scipy.special import gammainc
 
 from .coherent import (
@@ -42,6 +54,12 @@ DEFAULT_HBAR_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 MIN_LEVELS = 16
 START_TAIL = 1e-12
 EDGE_TOL = 1e-10
+
+# The eigenbasis of a banded parity block of m levels peaks at 24 m^2 bytes
+# (W and the divide-and-conquer workspace of eig_banded): 0.4 GiB at
+# N = 2m = 8192.  A larger one raises PrecisionError rather than exhaust
+# the memory of the machine.
+EIGENBASIS_BYTES = 2**30
 
 
 def relabel(p, x, hbar):
@@ -251,6 +269,50 @@ def sparse_internal_hamiltonian(kind, n_levels, lam_eff=0.0):
     return hamiltonian_matrix(kind, x, p, lam_eff).real
 
 
+def eigen_propagate(h, psi0, times):
+    """exp(-i h t) psi0 at each t in times, stacked as rows (len(times), N).
+
+    h is a real symmetric sparse matrix that keeps the parity of n, as
+    :func:`sparse_internal_hamiltonian` returns; a coupling between even
+    and odd levels raises ValidationError.  Each parity block is
+    diagonalized by one ``eig_banded`` of its lower bands, h = W diag(E) W^T,
+    and its columns are W (e^{-iEt} o W^T psi0).  Both products with W are
+    real, on the (real, imaginary) pairs, so W is never copied to complex.
+    A diagonal block (harmonic) is its own eigenbasis, W = I, at any N; a
+    banded block whose eigenbasis would exceed EIGENBASIS_BYTES raises
+    PrecisionError.
+    """
+    if h[0::2, 1::2].count_nonzero():
+        raise ValidationError("Hamiltonian mixes the parities of n")
+    psi0 = np.asarray(psi0, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    states = np.empty((times.size, psi0.size), dtype=complex)
+    for parity in (0, 1):  # the even block, the larger, first
+        block = h[parity::2, parity::2].tocoo()
+        m = block.shape[0]
+        width = (block.row - block.col)[block.data != 0].max(initial=0)
+        if width == 0:
+            a = np.exp(np.multiply.outer(block.diagonal(), times) * -1j)
+            a *= psi0[parity::2, None]
+            states[:, parity::2] = a.T
+            continue
+        if 24 * m * m > EIGENBASIS_BYTES:
+            raise PrecisionError(
+                f"Fock cutoff {psi0.size}: the eigenbasis of its {m}-level "
+                f"parity blocks needs {24 * m * m / 2**20:.0f} MiB, over the "
+                f"{EIGENBASIS_BYTES / 2**20:.0f} MiB limit")
+        band = np.zeros((width + 1, m))
+        for k in range(width + 1):  # lower storage: band[k, j] = h[j + k, j]
+            band[k, :m - k] = block.diagonal(-k)
+        w, v = eig_banded(band, lower=True, overwrite_a_band=True)
+        pairs = np.ascontiguousarray(psi0[parity::2]).view(float).reshape(m, 2)
+        a = np.exp(np.multiply.outer(w, times) * -1j)
+        a *= (v.T @ pairs).view(complex)  # W^T psi0 as a column
+        states[:, parity::2] = (v @ a.view(float)).view(complex).T
+        del w, v, a  # one block's eigenvectors are alive at a time
+    return states
+
+
 def classical_flow(x0, p0, times, kind="harmonic", lam=0.1, substeps=50):
     """Reference classical trajectory of h = (p^2 + x^2)/2 [+ lam x^4].
 
@@ -307,15 +369,13 @@ class EmergenceReport:
 
 def _center_trajectory(tilde, hbar, n_levels, kind, lam, times):
     """Edge mass and sqrt(hbar)(<X>, <P>) at the sampled times of the state
-    carrying the tilde label, evolved on n_levels Fock levels; the
-    trajectory is None when the edge mass exceeds EDGE_TOL."""
+    carrying the tilde label, evolved on n_levels Fock levels by
+    :func:`eigen_propagate` (one parity-split diagonalization of the
+    internal Hamiltonian for all the times); the trajectory is None when
+    the edge mass exceeds EDGE_TOL."""
     psi0 = coherent_amplitudes(unscaled_label(tilde, hbar), n_levels).amplitudes
     h = sparse_internal_hamiltonian(kind, n_levels, lam_eff=lam * hbar)
-    if times[-1] > 0:
-        states = expm_multiply(-1j * h, psi0, start=0.0, stop=times[-1],
-                               num=times.size, endpoint=True)
-    else:
-        states = psi0[None, :]
+    states = eigen_propagate(h, psi0, times)
     edge = edge_mass(states)
     if edge > EDGE_TOL:
         return edge, None, None
@@ -343,7 +403,10 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     mu < 1 is doubling N; at small hbar, where mu is in the hundreds,
     doubling N would overshoot what the evolved state needs (at most
     1.65 mu for quartic runs started on the unit circle at hbar = 1e-3),
-    and expm_multiply's cost grows with N.
+    and a quartic cutoff costs two banded diagonalizations of size N/2,
+    cubic in N.  The cost does not depend on t_final or on ||H||: every
+    sampled time comes from the same eigenbasis (see
+    :func:`eigen_propagate`).
     """
     if kind not in ("harmonic", "quartic"):
         raise ValidationError("emergence supports harmonic and quartic kinds")

@@ -235,18 +235,6 @@ def build_hamiltonian(kind, n_levels, hbar=1.0, lam=0.1):
                         kind)
 
 
-def expi_hermitian(mat, scale=1.0):
-    """exp(1j * scale * mat) for Hermitian mat, via eigendecomposition.
-
-    Unitary to roundoff by construction, unlike a truncated series.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-        raise ValidationError("generator must be Hermitian")
-    w, v = np.linalg.eigh(mat)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
-
-
 # --- CSV debugging interface ----------------------------------------------
 
 def save_operator_csv(op, path):

@@ -239,18 +239,6 @@ def hamilton_evolve(c0, spec):
     return CoordinateTrajectory(times, states[:, :n], states[:, n:], spec.hbar)
 
 
-def exact_evolve(psi0, h_op, times, hbar=1.0):
-    """Eigendecomposition propagator; the reference flow used to check the
-    integrators' convergence order."""
-    if not h_op.is_hermitian(1e-10):
-        raise ValidationError("Hamiltonian must be Hermitian")
-    w, v = np.linalg.eigh(h_op.matrix)
-    coeff = v.conj().T @ psi0.amplitudes
-    times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.outer(times, w) / hbar)
-    return StateTrajectory(times, (phases * coeff) @ v.T)
-
-
 def trajectory_deviation(straj, ctraj):
     """Max over sampled times of the Euclidean distance between the
     coordinates of an amplitude trajectory and a coordinate trajectory."""

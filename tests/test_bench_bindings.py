@@ -7,10 +7,10 @@ notice a cleanup that drops or rebinds one of these names; this test does.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
-from scipy.sparse.linalg import expm_multiply
 
 from galq import coherent, contraction, fock, projective
 
@@ -20,14 +20,20 @@ LAYERS = ("algebra", "cli", "coherent", "contraction", "coset", "fock",
 
 
 @pytest.mark.parametrize("module, name, target", [
-    (contraction, "expm_multiply", expm_multiply),
     (contraction, "coherent_amplitudes", coherent.coherent_amplitudes),
     (coherent, "build_xp", fock.build_xp),
     (projective, "build_hamiltonian", fock.build_hamiltonian),
-], ids=["contraction.expm_multiply", "contraction.coherent_amplitudes",
-        "coherent.build_xp", "projective.build_hamiltonian"])
+], ids=["contraction.coherent_amplitudes", "coherent.build_xp",
+        "projective.build_hamiltonian"])
 def test_benchmark_binding_is_bound(module, name, target):
     assert getattr(module, name, None) is target
+
+
+def test_emergence_propagator_is_defined_in_contraction():
+    # the propagation layer of the classical-limit workload times this name
+    func = getattr(contraction, "eigen_propagate", None)
+    assert inspect.isfunction(func)
+    assert func.__module__ == "galq.contraction"
 
 
 def test_every_galq_name_the_workloads_use_exists():

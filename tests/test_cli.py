@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from galq import cli, fock, projective
+from galq import cli, coherent, fock, projective
 
 
 def run(args):
@@ -248,6 +248,22 @@ def test_nonfinite_result_exits_1_writing_nothing(tmp_path, monkeypatch,
     out = tmp_path / "out"
     assert run([*words, *SMALL_RUNS[words], "--outdir", str(out)]) == 1
     assert "results.injected is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_nan_overlap_kernel_exits_1_writing_nothing(tmp_path, monkeypatch,
+                                                    capsys):
+    # a NaN kernel value must not be folded away into a passing check
+    overlap = coherent.overlap_analytic
+
+    def nan_for_distinct(l1, l2, hbar=1.0):
+        return overlap(l1, l2, hbar) if l1 is l2 else complex(float("nan"))
+
+    monkeypatch.setattr(coherent, "overlap_analytic", nan_for_distinct)
+    out = tmp_path / "out"
+    assert run(["coherent", "overlap", "--n-levels", "64", "--grid-points",
+                "2", "--outdir", str(out)]) == 1
+    assert "results.max_numeric_gap is not finite" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

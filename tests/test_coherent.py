@@ -9,6 +9,7 @@ from scipy.special import gammaincinv
 
 from galq import coherent, fock
 from galq.errors import PrecisionError, ValidationError
+from oracles import expi_hermitian
 
 
 def fock_overlap(l1, l2, n_levels):
@@ -53,8 +54,8 @@ def test_ordered_product_equals_single_exponential():
         lab = coherent.CoherentLabel(p, x, theta)
         single = coherent.displacement(lab, n_levels).matrix
         ordered = (np.exp(1j * x * p / 2.0) * np.exp(1j * theta)
-                   * fock.expi_hermitian(p_op.matrix, -x)
-                   @ fock.expi_hermitian(x_op.matrix, p))
+                   * expi_hermitian(p_op.matrix, -x)
+                   @ expi_hermitian(x_op.matrix, p))
         assert np.max(np.abs((single - ordered)[:, :16])) <= 1e-10
 
 
@@ -82,8 +83,8 @@ def test_rotated_position_basis_matches_generator_exponential(case):
     n_levels, p, x, theta = case
     lab = coherent.CoherentLabel(p, x, theta)
     x_op, p_op = fock.build_xp(n_levels, 1.0)
-    ref = fock.expi_hermitian(p * x_op.matrix - x * p_op.matrix
-                              + theta * np.eye(n_levels))
+    ref = expi_hermitian(p * x_op.matrix - x * p_op.matrix
+                         + theta * np.eye(n_levels))
     u = coherent.displacement(lab, n_levels).matrix
     state = coherent.coherent_state(lab, n_levels).amplitudes
     assert np.max(np.abs(u - ref)) <= 1e-12

@@ -11,6 +11,7 @@ from scipy.special import gammainc
 from galq import coherent, contraction, fock, projective
 from galq.coherent import CoherentLabel
 from galq.errors import (DegenerateFitError, PrecisionError, ValidationError)
+from oracles import exact_evolve
 
 GRID = contraction.DEFAULT_HBAR_GRID
 
@@ -297,22 +298,64 @@ def test_sparse_hamiltonian_matches_dense_builder():
 
 
 def test_emergence_propagator_matches_exact_evolution():
-    # cross-check the sparse expm propagation against the dense
-    # eigendecomposition propagator on a small case
+    # the banded eigenbasis propagation against two independent oracles:
+    # the dense eigendecomposition and scipy's Taylor-series propagator
     hbar = 0.25
     tilde = CoherentLabel(0.4, 0.9)
     internal = contraction.unscaled_label(tilde, hbar)
     n_levels = 64
     psi0 = coherent.coherent_amplitudes(internal, n_levels)
-    h_dense = fock.build_hamiltonian("quartic", n_levels, 1.0, lam=0.1 * hbar)
     times = np.linspace(0.0, 2.0, 11)
-    exact = projective.exact_evolve(psi0, h_dense, times)
-    from scipy.sparse.linalg import expm_multiply
-    h_sparse = contraction.sparse_internal_hamiltonian("quartic", n_levels,
-                                                       lam_eff=0.1 * hbar)
-    states = expm_multiply(-1j * h_sparse, psi0.amplitudes,
-                           start=0.0, stop=2.0, num=11, endpoint=True)
-    assert np.max(np.abs(states - exact.states)) <= 1e-9
+    for kind in ("harmonic", "free", "quartic"):
+        h_dense = fock.build_hamiltonian(kind, n_levels, 1.0, lam=0.1 * hbar)
+        h_sparse = contraction.sparse_internal_hamiltonian(kind, n_levels,
+                                                           lam_eff=0.1 * hbar)
+        states = contraction.eigen_propagate(h_sparse, psi0.amplitudes, times)
+        exact = exact_evolve(psi0, h_dense, times)
+        taylor = expm_multiply(-1j * h_sparse, psi0.amplitudes, start=0.0,
+                               stop=2.0, num=11, endpoint=True)
+        assert states.shape == (times.size, n_levels)
+        assert np.max(np.abs(states - exact.states)) <= 1e-9, kind
+        assert np.max(np.abs(states - taylor)) <= 1e-9, kind
+
+
+def test_eigen_propagate_rejects_parity_mixing():
+    h = contraction.sparse_internal_hamiltonian("quartic", 16, lam_eff=0.1)
+    x, _ = fock.xp_matrices(fock.ladder_matrix(16))
+    psi0 = fock.vacuum(16).amplitudes
+    with pytest.raises(ValidationError, match="parities"):
+        contraction.eigen_propagate(h + 1e-3 * x.real, psi0, [0.0, 1.0])
+
+
+def test_eigen_propagate_memory_stays_linear_or_bounded():
+    # a diagonal (harmonic) block is propagated as its own eigenbasis at
+    # any cutoff; a banded block over the eigenbasis limit is refused
+    # before anything of size N^2 is allocated
+    n_levels = 20001
+    h = contraction.sparse_internal_hamiltonian("harmonic", n_levels)
+    psi0 = np.zeros(n_levels, dtype=complex)
+    psi0[[0, 7, 20000]] = [0.6, 0.8j, 1e-3]
+    times = np.array([0.0, 0.3, 2.0])
+    exact = np.exp(-1j * np.outer(times, h.diagonal())) * psi0
+    states = contraction.eigen_propagate(h, psi0, times)
+    assert np.max(np.abs(states - exact)) <= 1e-12
+    m = math.isqrt(contraction.EIGENBASIS_BYTES // 24) + 1
+    h = contraction.sparse_internal_hamiltonian("quartic", 2 * m, lam_eff=1e-4)
+    with pytest.raises(PrecisionError, match=f"{m}-level parity blocks"):
+        contraction.eigen_propagate(h, np.zeros(2 * m), times)
+
+
+def test_criterion_09_grid_keeps_its_cutoffs():
+    # the verified cutoffs of criterion 09's grid from (x0, p0) = (1, 0)
+    grid = (1.0, 0.1, 0.01, 0.001)
+    harm = contraction.classical_trajectory_emergence(
+        1.0, 0.0, grid, kind="harmonic", t_final=2.0)
+    quart = contraction.classical_trajectory_emergence(
+        1.0, 0.0, grid, kind="quartic", lam=0.1, t_final=2.0)
+    assert harm.n_levels.tolist() == [16, 52, 108, 666]
+    assert quart.n_levels.tolist() == [128, 100, 167, 832]
+    assert np.all(harm.edge_mass <= contraction.EDGE_TOL)
+    assert np.all(quart.edge_mass <= contraction.EDGE_TOL)
 
 
 def test_classical_flow_quartic_conserves_energy():
