@@ -185,7 +185,7 @@ _SCHEMAS = {
                                   "(fock.save_operator_csv layout)"),
     },
     "contract_sweep": {
-        "pairs": _Flag(str, "0,0:0,1", help="'p1,x1:p2,x2[;...]' or 'same'"),
+        "pairs": _Flag(str, "0,0:0,1", help="'p1,x1:p2,x2[;...]'"),
         "hbar_grid": _Flag(_floats, list(contraction.DEFAULT_HBAR_GRID)),
         "tol": _Flag(_float, 1e-3, help="slope relative tolerance"),
         "numeric_tol": _Flag(_float, 1e-8),
@@ -436,6 +436,10 @@ def run_coherent_overlap(cfg):
         for x2 in pts:
             l2 = coherent.CoherentLabel(p2, x2)
             ov = coherent.overlap_analytic(l1, l2, hbar)
+            if not np.isfinite(ov):
+                raise GalqError(
+                    f"coherent_overlap.csv not written: the kernel at "
+                    f"p2={_fmt(p2)}, x2={_fmt(x2)} is not finite")
             rows.append([cfg["p1"], cfg["x1"], p2, x2,
                          ov.real, ov.imag, abs(ov)])
             # np.maximum keeps a NaN, which max() drops, so _finish refuses it
@@ -509,7 +513,7 @@ def run_evolve(cfg):
                              straj.expectation_series(h_op), norms))),
         "evolve_schrodinger.csv": _csv(coord_header, np.column_stack((
             straj.times,
-            *projective.amplitudes_to_coordinates(straj.states, spec.hbar)))),
+            *projective.amplitudes_to_coordinates(straj.states)))),
     }
     _finish(cfg, "evolve", results, ok, files,
             f"evolve: deviation {deviation:.3e}, norm drift {norm_drift:.3e}, "
@@ -518,9 +522,6 @@ def run_evolve(cfg):
 
 
 def _parse_pairs(text):
-    if text.strip() == "same":
-        lab = coherent.CoherentLabel(0.0, 0.0)
-        return [(lab, lab)]
     pairs = []
     for chunk in text.split(";"):
         try:

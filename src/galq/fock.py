@@ -80,21 +80,10 @@ class StateVector:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol=1e-12):
-        return abs(self.norm - 1.0) <= tol
-
 
 def vacuum(n_levels):
     v = np.zeros(n_levels, dtype=complex)
     v[0] = 1.0
-    return StateVector(n_levels, v)
-
-
-def basis_state(n_levels, n):
-    if not 0 <= n < n_levels:
-        raise ValidationError(f"level {n} outside 0..{n_levels - 1}")
-    v = np.zeros(n_levels, dtype=complex)
-    v[n] = 1.0
     return StateVector(n_levels, v)
 
 
@@ -115,12 +104,6 @@ def expectation(op, psi):
     """<psi|op|psi>; real part returned for Hermitian op, complex otherwise."""
     val = inner(psi, apply(op, psi))
     return val.real if op.is_hermitian(1e-10) else val
-
-
-def variance(op, psi):
-    mean = expectation(op, psi)
-    sq = FockOperator(op.n_levels, op.matrix @ op.matrix, op.hbar)
-    return expectation(sq, psi) - mean**2
 
 
 EDGE_LEVELS = 4

@@ -2,10 +2,15 @@
 (q_n, p_n) on Fock amplitudes, Schrodinger integration of the amplitude
 vector, and the equivalent Hamilton flow of the coordinates.
 
-The coordinate map is amplitude_n = (q_n + i p_n)/sqrt(2 hbar).  With the
+Units are internal (hbar = 1): both evolvers integrate i d|phi>/dt = H|phi>,
+and an ``EvolutionSpec`` refuses a Hamiltonian tagged with any other hbar.
+A physical hbar only rescales time (i hbar d/dt = H is i d/dt = H/hbar), so
+it adds nothing here; it enters galq through galq.contraction's relabeling.
+
+The coordinate map is q_n + i p_n = sqrt(2) amplitude_n.  With the
 Hamiltonian function H(q, p) = <phi|H|phi> this scaling makes the Hamilton
 equations dq/dt = dH/dp, dp/dt = -dH/dq literally identical to
-i hbar d|phi>/dt = H|phi>, which is what ``equivalence_report`` checks by
+i d|phi>/dt = H|phi>, which is what ``equivalence_report`` checks by
 integrating both forms independently (complex arithmetic on amplitudes on
 one side, real matrix arithmetic on coordinates on the other).
 """
@@ -18,74 +23,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fock import FockOperator, StateVector, build_hamiltonian, build_xp
+from .fock import FockOperator, build_hamiltonian, build_xp
 
-# Largest stable dt * rho(H) / hbar: RK4's stability region meets the
+# Largest stable dt * rho(H): RK4's stability region meets the
 # imaginary axis at +-2 sqrt(2).
 STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseCoordinates:
-    """Real coordinate pair (q, p) for a state, at a fixed hbar scaling."""
+    """Real coordinate pair (q, p) for a state: q + i p = sqrt(2) c."""
 
     n_levels: int
     q: np.ndarray
     p: np.ndarray
-    hbar: float = 1.0
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
         if q.shape != (self.n_levels,) or p.shape != (self.n_levels,):
             raise ValidationError("coordinate shapes must match n_levels")
-        if not (0 < self.hbar < math.inf):
-            raise ValidationError("hbar must be positive")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
-    @property
-    def squared_norm(self):
-        """State norm^2 = sum(q^2 + p^2) / (2 hbar)."""
-        return float(np.sum(self.q**2 + self.p**2) / (2.0 * self.hbar))
 
-
-def amplitudes_to_coordinates(c, hbar=1.0):
-    """(q, p) with q + i p = sqrt(2 hbar) c, for amplitudes of any shape."""
-    s = math.sqrt(2.0 * hbar)
+def amplitudes_to_coordinates(c):
+    """(q, p) with q + i p = sqrt(2) c, for amplitudes of any shape."""
+    s = math.sqrt(2.0)
     return s * c.real, s * c.imag
 
 
-def coordinates_to_amplitudes(q, p, hbar=1.0):
-    """Amplitudes (q + i p)/sqrt(2 hbar), for coordinates of any shape."""
-    return (np.asarray(q) + 1j * np.asarray(p)) / math.sqrt(2.0 * hbar)
+def coordinates_to_amplitudes(q, p):
+    """Amplitudes (q + i p)/sqrt(2), for coordinates of any shape."""
+    return (np.asarray(q) + 1j * np.asarray(p)) / math.sqrt(2.0)
 
 
-def to_coordinates(psi, hbar=1.0):
-    """q_n + i p_n = sqrt(2 hbar) amplitude_n."""
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
+def to_coordinates(psi):
+    """q_n + i p_n = sqrt(2) amplitude_n."""
     return PhaseCoordinates(psi.n_levels,
-                            *amplitudes_to_coordinates(psi.amplitudes, hbar),
-                            hbar)
-
-
-def from_coordinates(coords):
-    return StateVector(coords.n_levels, coordinates_to_amplitudes(
-        coords.q, coords.p, coords.hbar))
+                            *amplitudes_to_coordinates(psi.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
 class EvolutionSpec:
-    """Hamiltonian plus integration controls shared by both evolvers."""
+    """Hamiltonian plus integration controls shared by both evolvers.  The
+    Hamiltonian's hbar tag is the only hbar a run carries, and it must be
+    the internal hbar = 1."""
 
     hamiltonian: FockOperator
     t_final: float
     dt: float
-    hbar: float = 1.0
     store_every: int = 1
 
     def __post_init__(self):
+        if self.hamiltonian.hbar != 1.0:
+            raise ValidationError(
+                f"Hamiltonian is tagged hbar={self.hamiltonian.hbar!r}; "
+                "evolution runs in internal units (hbar = 1)")
         if not self.hamiltonian.is_hermitian(1e-10):
             raise ValidationError("Hamiltonian must be Hermitian")
         if not (0 < self.dt < math.inf):
@@ -96,8 +90,6 @@ class EvolutionSpec:
             raise ValidationError("dt must not exceed t_final")
         if self.store_every < 1:
             raise ValidationError("store_every must be >= 1")
-        if not (0 < self.hbar < math.inf):
-            raise ValidationError("hbar must be positive")
         if self.n_steps:
             self._check_stable()
 
@@ -105,9 +97,9 @@ class EvolutionSpec:
         """Reject a step outside RK4's stability interval, where the
         integration blows up instead of failing a tolerance."""
         rho = float(np.max(np.abs(np.linalg.eigvalsh(self.hamiltonian.matrix))))
-        z = self.dt_actual * rho / self.hbar
+        z = self.dt_actual * rho
         if z > STABILITY_LIMIT:
-            dt_max = STABILITY_LIMIT * self.hbar / rho
+            dt_max = STABILITY_LIMIT / rho
             unit = 10.0 ** (math.floor(math.log10(dt_max)) - 1)
             raise ValidationError(
                 f"dt={self.dt:g} is unstable for rk4: "
@@ -147,24 +139,23 @@ class CoordinateTrajectory:
     times: np.ndarray
     q: np.ndarray  # (n_samples, n_levels)
     p: np.ndarray
-    hbar: float
 
     def energy_series(self, op):
-        c = coordinates_to_amplitudes(self.q, self.p, self.hbar)
+        c = coordinates_to_amplitudes(self.q, self.p)
         return np.einsum("ti,ij,tj->t", c.conj(), op.matrix, c).real
 
 
-def hamiltonian_function(q, p, h_op, hbar=1.0):
+def hamiltonian_function(q, p, h_op):
     """H(q, p) = <phi(q, p)| H |phi(q, p)> under the fixed scaling."""
-    c = coordinates_to_amplitudes(q, p, hbar)
+    c = coordinates_to_amplitudes(q, p)
     return float(np.real(np.vdot(c, h_op.matrix @ c)))
 
 
-def hamiltonian_gradients(q, p, h_op, hbar=1.0):
+def hamiltonian_gradients(q, p, h_op):
     """Analytic (dH/dq, dH/dp) of the bilinear Hamiltonian function."""
-    c = coordinates_to_amplitudes(q, p, hbar)
+    c = coordinates_to_amplitudes(q, p)
     w = h_op.matrix @ c
-    s = math.sqrt(2.0 / hbar)
+    s = math.sqrt(2.0)
     return s * w.real, s * w.imag
 
 
@@ -209,11 +200,11 @@ def _sampled_states(step, x0, spec):
 
 
 def schrodinger_evolve(psi0, spec):
-    """Integrate i hbar dc/dt = H c on the amplitude vector with RK4: the
-    complex one-step map sum_{j<=4} (-i dt H/hbar)^j / j!."""
+    """Integrate i dc/dt = H c on the amplitude vector with RK4: the
+    complex one-step map sum_{j<=4} (-i dt H)^j / j!."""
     if psi0.n_levels != spec.hamiltonian.n_levels:
         raise ValidationError("state and Hamiltonian dimensions differ")
-    z = (-1j * spec.dt_actual / spec.hbar) * spec.hamiltonian.matrix
+    z = (-1j * spec.dt_actual) * spec.hamiltonian.matrix
     times, states = _sampled_states(_rk4_step(z), psi0.amplitudes, spec)
     return StateTrajectory(times, states)
 
@@ -222,27 +213,26 @@ def hamilton_evolve(c0, spec):
     """Integrate dq/dt = dH/dp, dp/dt = -dH/dq in real arithmetic.
 
     For Hermitian H = A + iB (A symmetric, B antisymmetric) the analytic
-    gradients give dq/dt = (A p + B q)/hbar, dp/dt = (B p - A q)/hbar, i.e.
-    K = [[B, A], [-A, B]]/hbar on (q, p), integrated with RK4: the real
-    one-step map sum_{j<=4} (dt K)^j / j!.
+    gradients give dq/dt = A p + B q, dp/dt = B p - A q, i.e.
+    K = [[B, A], [-A, B]] on (q, p), integrated with RK4: the real one-step
+    map sum_{j<=4} (dt K)^j / j!.  This is i dc/dt = H c with
+    q + i p = sqrt(2) c.
     """
     if c0.n_levels != spec.hamiltonian.n_levels:
         raise ValidationError("coordinates and Hamiltonian dimensions differ")
-    if c0.hbar != spec.hbar:
-        raise ValidationError("coordinate scaling and spec disagree on hbar")
     n = c0.n_levels
     h = spec.hamiltonian.matrix
-    a = (spec.dt_actual / spec.hbar) * h.real
-    b = (spec.dt_actual / spec.hbar) * h.imag
+    a = spec.dt_actual * h.real
+    b = spec.dt_actual * h.imag
     step = _rk4_step(np.block([[b, a], [-a, b]]))
     times, states = _sampled_states(step, np.concatenate((c0.q, c0.p)), spec)
-    return CoordinateTrajectory(times, states[:, :n], states[:, n:], spec.hbar)
+    return CoordinateTrajectory(times, states[:, :n], states[:, n:])
 
 
 def trajectory_deviation(straj, ctraj):
     """Max over sampled times of the Euclidean distance between the
     coordinates of an amplitude trajectory and a coordinate trajectory."""
-    dq, dp = amplitudes_to_coordinates(straj.states, ctraj.hbar)
+    dq, dp = amplitudes_to_coordinates(straj.states)
     dq -= ctraj.q
     dp -= ctraj.p
     dist = np.sqrt(np.sum(dq**2 + dp**2, axis=1))
@@ -253,7 +243,7 @@ def equivalence_report(psi0, spec):
     """:func:`trajectory_deviation` between the two independent
     integrations of psi0 under spec."""
     straj = schrodinger_evolve(psi0, spec)
-    ctraj = hamilton_evolve(to_coordinates(psi0, spec.hbar), spec)
+    ctraj = hamilton_evolve(to_coordinates(psi0), spec)
     return trajectory_deviation(straj, ctraj)
 
 

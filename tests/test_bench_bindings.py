@@ -1,5 +1,5 @@
 """Module-level names that the benchmark (perfbench/) wraps or calls by
-name.
+name, and the signatures its calls bind to.
 
 The repository's pytest collects only tests/, so perfbench/tests would not
 notice a cleanup that drops or rebinds one of these names; this test does.
@@ -36,12 +36,39 @@ def test_emergence_propagator_is_defined_in_contraction():
     assert func.__module__ == "galq.contraction"
 
 
+def _workloads_tree():
+    return ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+
+
+def _is_layer_attribute(node):
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in LAYERS)
+
+
 def test_every_galq_name_the_workloads_use_exists():
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    used = {(node.value.id, node.attr) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id in LAYERS}
+    used = {(node.value.id, node.attr) for node in ast.walk(_workloads_tree())
+            if _is_layer_attribute(node)}
     assert used, "no galq attribute found in perfbench/workloads.py"
     missing = sorted(f"{mod}.{attr}" for mod, attr in used
                      if not hasattr(importlib.import_module(f"galq.{mod}"), attr))
     assert missing == []
+
+
+def test_every_galq_call_the_workloads_make_binds():
+    # a dropped or renamed parameter breaks the benchmark as surely as a
+    # dropped name; a call with *args or **kwargs is not checked
+    calls = [node for node in ast.walk(_workloads_tree())
+             if isinstance(node, ast.Call) and _is_layer_attribute(node.func)
+             and not any(isinstance(a, ast.Starred) for a in node.args)
+             and all(k.arg is not None for k in node.keywords)]
+    assert calls, "no galq call found in perfbench/workloads.py"
+    unbound = []
+    for call in calls:
+        mod, name = call.func.value.id, call.func.attr
+        func = getattr(importlib.import_module(f"galq.{mod}"), name)
+        try:
+            inspect.signature(func).bind(*call.args,
+                                         **{k.arg: k for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {mod}.{name}: {exc}")
+    assert unbound == []

@@ -251,9 +251,11 @@ def test_nonfinite_result_exits_1_writing_nothing(tmp_path, monkeypatch,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("check", ["--check-numeric", "--no-check-numeric"])
 def test_nan_overlap_kernel_exits_1_writing_nothing(tmp_path, monkeypatch,
-                                                    capsys):
-    # a NaN kernel value must not be folded away into a passing check
+                                                    capsys, check):
+    # a NaN kernel value must not be folded away into a passing check, nor
+    # written into the table when no check looks at it
     overlap = coherent.overlap_analytic
 
     def nan_for_distinct(l1, l2, hbar=1.0):
@@ -262,8 +264,9 @@ def test_nan_overlap_kernel_exits_1_writing_nothing(tmp_path, monkeypatch,
     monkeypatch.setattr(coherent, "overlap_analytic", nan_for_distinct)
     out = tmp_path / "out"
     assert run(["coherent", "overlap", "--n-levels", "64", "--grid-points",
-                "2", "--outdir", str(out)]) == 1
-    assert "results.max_numeric_gap is not finite" in capsys.readouterr().err
+                "2", check, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "not written" in err and "is not finite" in err
     assert list(out.iterdir()) == []
 
 
@@ -300,6 +303,19 @@ def test_evolve_nonhermitian_file_exits_1(tmp_path):
     fock.save_operator_csv(bad, path)
     assert run(["evolve", "--hamiltonian-file", str(path),
                 "--outdir", str(tmp_path)]) == 1
+
+
+def test_evolve_file_at_another_hbar_exits_1_writing_nothing(tmp_path,
+                                                             capsys):
+    # evolve runs in internal units: a Hamiltonian saved at hbar = 0.5 is
+    # refused, not integrated as if it were hbar = 1
+    path = tmp_path / "h.csv"
+    fock.save_operator_csv(fock.build_hamiltonian("harmonic", 16, 0.5), path)
+    out = tmp_path / "out"
+    assert run(["evolve", "--hamiltonian-file", str(path),
+                "--outdir", str(out)]) == 1
+    assert "hbar=0.5" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_contract_sweep_defaults(tmp_path):
@@ -368,6 +384,13 @@ def test_contract_classical_harmonic_zero_time_passes(tmp_path):
 def test_contract_sweep_same_pair_exits_1(tmp_path):
     assert run(["contract", "sweep", "--pairs", "same",
                 "--outdir", str(tmp_path)]) == 1
+
+
+def test_contract_sweep_identical_pair_is_degenerate(tmp_path, capsys):
+    assert run(["contract", "sweep", "--pairs", "0,0:0,0",
+                "--outdir", str(tmp_path)]) == 1
+    assert "identical labels" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_contract_classical_harmonic(tmp_path):

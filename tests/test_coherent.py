@@ -9,7 +9,7 @@ from scipy.special import gammaincinv
 
 from galq import coherent, fock
 from galq.errors import PrecisionError, ValidationError
-from oracles import expi_hermitian
+from oracles import expi_hermitian, variance
 
 
 def fock_overlap(l1, l2, n_levels):
@@ -353,7 +353,7 @@ def test_coherent_state_minimum_uncertainty():
     n_levels = 128
     x_op, p_op = fock.build_xp(n_levels, 1.0)
     s = coherent.coherent_state(coherent.CoherentLabel(1.0, 2.0), n_levels)
-    product = fock.variance(x_op, s) * fock.variance(p_op, s)
+    product = variance(x_op, s) * variance(p_op, s)
     assert product == pytest.approx(0.25, abs=1e-8)
 
 

@@ -388,16 +388,11 @@ def test_classical_flow_quartic_conserves_energy():
     pytest.param(lambda: contraction.relabel(1.0, 1.0, math.nan),
                  id="relabel-hbar"),
     pytest.param(lambda: projective.EvolutionSpec(
-        fock.build_hamiltonian("harmonic", 4), 1.0, 0.1, hbar=math.nan),
-        id="spec-hbar"),
-    pytest.param(lambda: projective.EvolutionSpec(
         fock.build_hamiltonian("harmonic", 4), 1.0, math.nan),
         id="spec-dt"),
     pytest.param(lambda: projective.EvolutionSpec(
         fock.build_hamiltonian("harmonic", 4), math.nan, 0.1),
         id="spec-t_final"),
-    pytest.param(lambda: projective.to_coordinates(fock.vacuum(4), math.nan),
-                 id="coordinates-hbar"),
     pytest.param(lambda: fock.build_xp(4, math.nan), id="build_xp-hbar"),
     pytest.param(lambda: fock.build_hamiltonian("quartic", 4, lam=math.nan),
                  id="quartic-lam"),
@@ -425,18 +420,11 @@ def test_classical_flow_quartic_conserves_energy():
     pytest.param(lambda: contraction.unrelabel(1.0, 1.0, math.inf),
                  id="unrelabel-hbar-inf"),
     pytest.param(lambda: projective.EvolutionSpec(
-        fock.build_hamiltonian("harmonic", 4), 1.0, 0.1, hbar=math.inf),
-        id="spec-hbar-inf"),
-    pytest.param(lambda: projective.EvolutionSpec(
         fock.build_hamiltonian("harmonic", 4), 0.0, math.inf),
         id="spec-dt-inf"),
     pytest.param(lambda: projective.EvolutionSpec(
         fock.build_hamiltonian("harmonic", 4), math.inf, 0.1),
         id="spec-t_final-inf"),
-    pytest.param(lambda: projective.to_coordinates(fock.vacuum(4), math.inf),
-                 id="coordinates-hbar-inf"),
-    pytest.param(lambda: projective.PhaseCoordinates(
-        1, [0.0], [0.0], math.inf), id="phase_coordinates-hbar-inf"),
     pytest.param(lambda: fock.build_xp(4, math.inf), id="build_xp-hbar-inf"),
     pytest.param(lambda: fock.build_hamiltonian("quartic", 4, lam=math.inf),
                  id="quartic-lam-inf"),

@@ -16,7 +16,7 @@ def coherent_psi(n_levels, p, x):
 
 
 def test_vacuum_coordinates():
-    coords = projective.to_coordinates(fock.vacuum(8), hbar=1.0)
+    coords = projective.to_coordinates(fock.vacuum(8))
     expected_q = np.zeros(8)
     expected_q[0] = math.sqrt(2.0)
     np.testing.assert_allclose(coords.q, expected_q, atol=1e-15)
@@ -29,22 +29,20 @@ def test_zero_vector_maps_to_zero():
     assert np.all(coords.q == 0.0) and np.all(coords.p == 0.0)
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.25, 3.0])
-def test_coordinate_roundtrip(hbar):
+def test_coordinate_roundtrip():
     rng = np.random.default_rng(4)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi = fock.StateVector(16, amps)
-    back = projective.from_coordinates(projective.to_coordinates(psi, hbar))
-    np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-14)
-    coords = projective.to_coordinates(psi, hbar)
-    assert coords.squared_norm == pytest.approx(psi.norm**2, rel=1e-13)
+    coords = projective.to_coordinates(psi)
     # the array maps work on stacks of any shape, entry by entry
     stack = amps.reshape(2, 2, 4)
-    q, p = projective.amplitudes_to_coordinates(stack, hbar)
+    q, p = projective.amplitudes_to_coordinates(stack)
     np.testing.assert_array_equal(q.ravel(), coords.q)
     np.testing.assert_array_equal(p.ravel(), coords.p)
+    # q + i p = sqrt(2) c, so sum(q^2 + p^2) / 2 is the squared norm
+    assert np.sum(q**2 + p**2) / 2.0 == pytest.approx(psi.norm**2, rel=1e-13)
     np.testing.assert_allclose(
-        projective.coordinates_to_amplitudes(q, p, hbar), stack, atol=1e-14)
+        projective.coordinates_to_amplitudes(q, p), stack, atol=1e-14)
 
 
 def test_spec_validation():
@@ -57,6 +55,10 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         projective.EvolutionSpec(h, 1.0, 2.0)  # dt > t_final
     projective.EvolutionSpec(h, 0.0, 0.1)  # t_final = 0 is a valid no-op
+    # evolution runs in internal units; the Hamiltonian's tag is its one hbar
+    with pytest.raises(ValidationError, match=r"tagged hbar=0\.5"):
+        projective.EvolutionSpec(fock.build_hamiltonian("harmonic", 8, 0.5),
+                                 1.0, 0.1)
 
 
 def test_spec_rejects_unstable_step():
@@ -123,7 +125,7 @@ def test_constant_hamiltonian_rotates_coordinates_rigidly():
     rng = np.random.default_rng(9)
     q0 = rng.normal(size=n_levels)
     p0 = rng.normal(size=n_levels)
-    c0 = projective.PhaseCoordinates(n_levels, q0, p0, 1.0)
+    c0 = projective.PhaseCoordinates(n_levels, q0, p0)
     spec = projective.EvolutionSpec(h, 3.0, 1e-3, store_every=300)
     traj = projective.hamilton_evolve(c0, spec)
     for t, q, p in zip(traj.times, traj.q, traj.p):
@@ -138,7 +140,7 @@ def test_zero_hamiltonian_freezes_coordinates():
     n_levels = 5
     h = fock.FockOperator(n_levels, np.zeros((n_levels, n_levels)))
     c0 = projective.PhaseCoordinates(n_levels, np.ones(n_levels),
-                                     -np.ones(n_levels), 1.0)
+                                     -np.ones(n_levels))
     traj = projective.hamilton_evolve(c0, projective.EvolutionSpec(h, 1.0, 0.1))
     np.testing.assert_array_equal(traj.q[-1], c0.q)
     np.testing.assert_array_equal(traj.p[-1], c0.p)
@@ -191,7 +193,7 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     q = rng.normal(size=n_levels)
     p = rng.normal(size=n_levels)
-    gq, gp = projective.hamiltonian_gradients(q, p, h, hbar=1.0)
+    gq, gp = projective.hamiltonian_gradients(q, p, h)
     step = 1e-5
     fd_q = np.empty(n_levels)
     fd_p = np.empty(n_levels)
@@ -228,13 +230,13 @@ def test_ray_invariants_vacuum():
 
 def loop_amplitudes(h, c, spec):
     """Reference RK4 on the amplitudes, one explicit step at a time."""
-    factor, dt = -1j / spec.hbar, spec.dt_actual
+    dt = spec.dt_actual
     out = [c]
     for _ in range(spec.n_steps):
-        k1 = factor * (h @ c)
-        k2 = factor * (h @ (c + 0.5 * dt * k1))
-        k3 = factor * (h @ (c + 0.5 * dt * k2))
-        k4 = factor * (h @ (c + dt * k3))
+        k1 = -1j * (h @ c)
+        k2 = -1j * (h @ (c + 0.5 * dt * k1))
+        k3 = -1j * (h @ (c + 0.5 * dt * k2))
+        k4 = -1j * (h @ (c + dt * k3))
         c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(c)
     return np.array(out)
@@ -242,10 +244,10 @@ def loop_amplitudes(h, c, spec):
 
 def loop_coordinates(h, q, p, spec):
     """Reference RK4 on (q, p), one explicit step at a time."""
-    a, b, hbar, dt = h.real, h.imag, spec.hbar, spec.dt_actual
+    a, b, dt = h.real, h.imag, spec.dt_actual
 
     def rhs(qv, pv):
-        return (a @ pv + b @ qv) / hbar, (b @ pv - a @ qv) / hbar
+        return a @ pv + b @ qv, b @ pv - a @ qv
 
     out = [np.concatenate((q, p))]
     for _ in range(spec.n_steps):
@@ -261,31 +263,26 @@ def loop_coordinates(h, q, p, spec):
 
 @given(n_levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        n_steps=st.integers(0, 40), store_every=st.integers(1, 45),
-       dt=st.floats(0.01, 0.5), hbar=st.floats(0.5, 2.0),
-       stiffness=st.floats(0.05, 0.95))
-@example(n_levels=4, seed=1, n_steps=0, store_every=1, dt=0.1, hbar=1.0,
-         stiffness=0.5)
-@example(n_levels=4, seed=2, n_steps=23, store_every=5, dt=0.1, hbar=1.0,
-         stiffness=0.5)
+       dt=st.floats(0.01, 0.5), stiffness=st.floats(0.05, 0.95))
+@example(n_levels=4, seed=1, n_steps=0, store_every=1, dt=0.1, stiffness=0.5)
+@example(n_levels=4, seed=2, n_steps=23, store_every=5, dt=0.1, stiffness=0.5)
 def test_propagators_match_explicit_step_loop(n_levels, seed, n_steps,
-                                              store_every, dt, hbar,
-                                              stiffness):
+                                              store_every, dt, stiffness):
     rng = np.random.default_rng(seed)
     m = (rng.normal(size=(n_levels, n_levels))
          + 1j * rng.normal(size=(n_levels, n_levels)))
     m = m + m.conj().T
-    # dt * rho(H) / hbar = stiffness * RK4's stability limit
+    # dt * rho(H) = stiffness * RK4's stability limit
     rho = np.max(np.abs(np.linalg.eigvalsh(m)))
-    h = m * (stiffness * projective.STABILITY_LIMIT * hbar / (dt * rho))
+    h = m * (stiffness * projective.STABILITY_LIMIT / (dt * rho))
     spec = projective.EvolutionSpec(fock.FockOperator(n_levels, h),
-                                    n_steps * dt, dt, hbar=hbar,
-                                    store_every=store_every)
+                                    n_steps * dt, dt, store_every=store_every)
     idx, times = projective._sample_times(spec)
     assert idx.tolist() == sorted({*range(0, n_steps + 1, store_every),
                                    n_steps})
     amps = rng.normal(size=n_levels) + 1j * rng.normal(size=n_levels)
     psi0 = fock.StateVector(n_levels, amps)
-    c0 = projective.to_coordinates(psi0, hbar)
+    c0 = projective.to_coordinates(psi0)
 
     def close(got, want):
         scale = 1.0 + np.max(np.abs(want))
