@@ -55,6 +55,12 @@ MIN_LEVELS = 16
 START_TAIL = 1e-12
 EDGE_TOL = 1e-10
 
+# RK4 substeps of the quartic classical reference between two sample times.
+# On criterion 09's sampling (101 times over [0, 2]) 50 substeps agree with
+# 1000 to 2.4e-14, far below the 3.3e-4 deviation its hbar = 1e-3 point
+# resolves.
+FLOW_SUBSTEPS = 50
+
 # The eigenbasis of a banded parity block of m levels peaks at 24 m^2 bytes
 # (W and the divide-and-conquer workspace of eig_banded): 0.4 GiB at
 # N = 2m = 8192.  A larger one raises PrecisionError rather than exhaust
@@ -313,10 +319,17 @@ def eigen_propagate(h, psi0, times):
     return states
 
 
-def classical_flow(x0, p0, times, kind="harmonic", lam=0.1, substeps=50):
+def classical_flow(x0, p0, times, kind="harmonic", lam=0.1):
     """Reference classical trajectory of h = (p^2 + x^2)/2 [+ lam x^4].
 
-    Harmonic case in closed form; anharmonic case by finely substepped RK4.
+    Harmonic case in closed form.  Quartic case by RK4 with FLOW_SUBSTEPS
+    equal substeps between consecutive sample times, run on x and p as
+    plain Python floats; each stage is evaluated in the order of the
+    array-based RK4 (tests/oracles.classical_flow_rk4), so the trajectory
+    is bitwise equal to it.  A quartic reference that leaves the finite
+    range (x**3 overflows, or a stored sample is inf or NaN, as when the
+    substep is far too large for the oscillation) raises PrecisionError
+    naming the sample time it failed at and the substep dt.
     """
     times = np.asarray(times, dtype=float)
     if kind == "harmonic":
@@ -324,24 +337,34 @@ def classical_flow(x0, p0, times, kind="harmonic", lam=0.1, substeps=50):
                 p0 * np.cos(times) - x0 * np.sin(times))
     if kind != "quartic":
         raise ValidationError("classical flow supports harmonic and quartic kinds")
-
-    def rhs(y):
-        x, p = y
-        return np.array([p, -x - 4.0 * lam * x**3])
-
+    c4 = 4.0 * float(lam)
+    x, p = float(x0), float(p0)
     xs = np.empty(times.size)
     ps = np.empty(times.size)
-    y = np.array([float(x0), float(p0)])
-    xs[0], ps[0] = y
-    for i in range(1, times.size):
-        dt = (times[i] - times[i - 1]) / substeps
-        for _ in range(substeps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        xs[i], ps[i] = y
+    xs[0], ps[0] = x, p
+    tl = times.tolist()
+    for i in range(1, len(tl)):
+        dt = (tl[i] - tl[i - 1]) / FLOW_SUBSTEPS
+        half, sixth = 0.5 * dt, dt / 6.0
+        try:
+            for _ in range(FLOW_SUBSTEPS):  # stage j has slope (p_j, k_jp)
+                k1p = -x - c4 * x**3
+                x2, p2 = x + half * p, p + half * k1p
+                k2p = -x2 - c4 * x2**3
+                x3, p3 = x + half * p2, p + half * k2p
+                k3p = -x3 - c4 * x3**3
+                x4, p4 = x + dt * p3, p + dt * k3p
+                k4p = -x4 - c4 * x4**3
+                x = x + sixth * (p + 2 * p2 + 2 * p3 + p4)
+                p = p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
+        except OverflowError:  # x**3 beyond the float range raises
+            x = math.inf
+        if not (math.isfinite(x) and math.isfinite(p)):
+            raise PrecisionError(
+                "quartic classical reference is not finite at t = "
+                f"{tl[i]:g}: RK4 with substep dt = {dt:g} left the finite "
+                "range")
+        xs[i], ps[i] = x, p
     return xs, ps
 
 

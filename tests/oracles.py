@@ -1,7 +1,8 @@
 """Reference helpers used only by the tests: dense eigendecomposition
 oracles, independent of the banded propagator in galq.contraction and of
 the closed forms in galq.coherent and unitary to roundoff by construction,
-plus number states and variances on the truncated Fock space."""
+the array-based RK4 of the quartic classical reference, plus number states
+and variances on the truncated Fock space."""
 
 import numpy as np
 
@@ -45,3 +46,29 @@ def variance(op, psi):
     mean = fock.expectation(op, psi)
     sq = fock.FockOperator(op.n_levels, op.matrix @ op.matrix, op.hbar)
     return fock.expectation(sq, psi) - mean**2
+
+
+def classical_flow_rk4(x0, p0, times, lam, substeps=50):
+    """Quartic classical trajectory of h = (p^2 + x^2)/2 + lam x^4 by RK4
+    on 2-element arrays, substeps per sample interval: the stage order that
+    galq.contraction.classical_flow must reproduce bit for bit."""
+    times = np.asarray(times, dtype=float)
+
+    def rhs(y):
+        x, p = y
+        return np.array([p, -x - 4.0 * lam * x**3])
+
+    xs = np.empty(times.size)
+    ps = np.empty(times.size)
+    y = np.array([float(x0), float(p0)])
+    xs[0], ps[0] = y
+    for i in range(1, times.size):
+        dt = (times[i] - times[i - 1]) / substeps
+        for _ in range(substeps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        xs[i], ps[i] = y
+    return xs, ps

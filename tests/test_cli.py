@@ -375,6 +375,25 @@ def test_contract_classical_quartic_zero_time_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", [
+    (["--x0", "1", "--t-final", "100000", "--hbar-grid", "1"],
+     "quartic classical reference is not finite at t = 1000: RK4 with "
+     "substep dt = 20 left the finite range"),
+    (["--x0", "1e120"],
+     "quartic classical reference is not finite at t = 0.02: RK4 with "
+     "substep dt = 0.0004 left the finite range"),
+], ids=["diverged-step", "overflow"])
+def test_contract_classical_blown_up_reference_exits_1(tmp_path, capsys,
+                                                       flags, message):
+    # the classical reference failed, not the quantum result
+    assert run(["contract", "classical", "--kind", "quartic", *flags,
+                "--outdir", str(tmp_path)]) == 1
+    # the whole of stderr: no traceback and no numpy warning
+    assert capsys.readouterr().err == f"galq: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_contract_classical_harmonic_zero_time_passes(tmp_path):
     assert run(["contract", "classical", "--t-final", "0",
                 "--outdir", str(tmp_path)]) == 0

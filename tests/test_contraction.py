@@ -11,7 +11,7 @@ from scipy.special import gammainc
 from galq import coherent, contraction, fock, projective
 from galq.coherent import CoherentLabel
 from galq.errors import (DegenerateFitError, PrecisionError, ValidationError)
-from oracles import exact_evolve
+from oracles import classical_flow_rk4, exact_evolve
 
 GRID = contraction.DEFAULT_HBAR_GRID
 
@@ -364,6 +364,46 @@ def test_classical_flow_quartic_conserves_energy():
                                         lam=0.1)
     energy = 0.5 * (xs**2 + ps**2) + 0.1 * xs**4
     assert np.max(np.abs(energy - energy[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0])
+@pytest.mark.parametrize("angle", [None, 0.7, 2.5, 4.0],
+                         ids=["criterion-09", "angle-0.7", "angle-2.5",
+                              "angle-4.0"])
+def test_classical_flow_quartic_is_bitwise_the_array_rk4(angle, lam):
+    x0, p0 = (1.0, 0.0) if angle is None else (math.cos(angle),
+                                                math.sin(angle))
+    for t_final in (2.0, 7.3):
+        for n_samples in (2, 7, 101):
+            times = np.linspace(0.0, t_final, n_samples)
+            xs, ps = contraction.classical_flow(x0, p0, times, kind="quartic",
+                                                lam=lam)
+            want_x, want_p = classical_flow_rk4(x0, p0, times, lam)
+            assert np.array_equal(xs, want_x) and np.array_equal(ps, want_p)
+
+
+@pytest.mark.parametrize("x0, p0", [(1.0, 0.0), (math.cos(1.0), math.sin(1.0)),
+                                    (0.3, -2.0)])
+def test_classical_flow_quartic_at_zero_coupling_is_harmonic(x0, p0):
+    # a wrong stage weight or half-step would leave an O(dt) gap
+    times = np.linspace(0.0, 5.0, 101)
+    xs, ps = contraction.classical_flow(x0, p0, times, kind="quartic", lam=0.0)
+    hx, hp = contraction.classical_flow(x0, p0, times, kind="harmonic")
+    assert max(np.max(np.abs(xs - hx)), np.max(np.abs(ps - hp))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0, t_final, message", [
+    # substep dt = 20: the RK4 step diverges into inf and NaN
+    (1.0, 1e5, "not finite at t = 1000: RK4 with substep dt = 20 "),
+    # x**3 overflows a float on the first substep
+    (1e120, 2.0, "not finite at t = 0.02: RK4 with substep dt = 0.0004 "),
+], ids=["diverged-step", "overflow"])
+def test_classical_flow_quartic_blowup_raises_precision_error(x0, t_final,
+                                                             message):
+    times = np.linspace(0.0, t_final, 101)
+    with pytest.raises(PrecisionError, match=message):
+        contraction.classical_flow(x0, 0.0, times, kind="quartic", lam=0.1)
 
 
 
