@@ -14,10 +14,10 @@ Output contract
     numerical tolerance check fails.
 
 Config precedence: command-line flags > ``--config`` file (``key = value``
-lines, ``#`` comments; a key that is not a flag of the subcommand is an
-error) > built-in defaults.  The single honored environment variable is
-GALQ_OUTDIR, which overrides the output directory unless ``--outdir`` is
-given explicitly.
+lines, ``#`` comments; a key that is not a flag of the subcommand, or a
+key set twice, is an error) > built-in defaults.  The single honored
+environment variable is GALQ_OUTDIR, which overrides the output directory
+unless ``--outdir`` is given explicitly.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _jsonable(obj):
 
 def parse_config_file(path):
     """Plain-text ``key = value`` pairs; values stay strings until a flag
-    type converts them."""
+    type converts them.  A key set twice raises ParseError."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -94,7 +94,10 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ParseError(f"expected key = value, got {line!r}", line_no)
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise ParseError(f"duplicate config key {key!r}", line_no)
+            out[key] = val.strip()
     return out
 
 
@@ -589,6 +592,12 @@ def run_contract_classical(cfg):
             raise ValidationError(
                 "--x0 and --p0 must not both be 0 for --kind quartic: the "
                 "origin is a fixed point of both flows")
+        # the ratio and monotonicity checks need the deviation to shrink
+        grid = cfg["hbar_grid"]
+        if len(grid) < 2:
+            raise ValidationError("need at least two hbar points to compare")
+        if any(b >= a for a, b in zip(grid, grid[1:])):
+            raise ValidationError("hbar grid must be strictly descending")
     rep = contraction.classical_trajectory_emergence(
         cfg["x0"], cfg["p0"], cfg["hbar_grid"], kind=cfg["kind"],
         lam=cfg["lam"], t_final=cfg["t_final"])

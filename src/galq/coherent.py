@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaln
 
 from .errors import PrecisionError, ValidationError
-from .fock import FockOperator, StateVector, position_basis
+from .fock import (TAIL_TOL, FockOperator, StateVector, poisson_tail,
+                   position_basis)
 from .fock import build_xp  # noqa: F401  (kept in this namespace for callers)
 from .projective import coordinates_to_amplitudes
 
@@ -60,6 +61,12 @@ class CoherentLabel:
     def alpha(self):
         """Fock displacement amplitude(s) (x + ip)/sqrt2 per axis."""
         return coordinates_to_amplitudes(self.x, self.p)
+
+    @property
+    def occupation(self):
+        """Mean Fock occupation |alpha|^2 over the axes; inf, with no numpy
+        overflow warning, past the float range."""
+        return sum(a * a for a in np.abs(self.alpha).tolist())
 
 
 def _check_matched(l1, l2):
@@ -114,29 +121,19 @@ def displacement(label, n_levels):
                         1.0, "U")
 
 
-def coherent_tail_mass(label, n_levels):
-    """Poisson-tail estimate of the amplitude mass discarded at the cutoff."""
-    mu = float(np.sum(np.abs(label.alpha) ** 2))
-    return float(gammainc(n_levels, mu))  # P[Poisson(mu) >= n_levels]
+def coherent_state(label, n_levels):
+    """U(label)|0>, refused with PrecisionError when the Fock tail it
+    discards, fock.poisson_tail, is above fock.TAIL_TOL.
 
-
-def coherent_state(label, n_levels, tail_tol=1e-12):
-    """U(label)|0>, guarded so the discarded Fock tail stays below tail_tol.
-
-    Only the vacuum column of U is computed.  Pass tail_tol=None to skip
-    the guard (e.g. for deliberately lossy truncation studies).
+    Only the vacuum column of U is computed.
     """
     _check_axis(label, n_levels)
-    if tail_tol is not None:
-        if not (math.isfinite(tail_tol) and tail_tol >= 0):
-            raise ValidationError(
-                f"tail_tol must be None or finite and >= 0, got {tail_tol!r}")
-        tail = coherent_tail_mass(label, n_levels)
-        if tail > tail_tol:
-            raise PrecisionError(
-                f"Fock cutoff {n_levels} keeps tail mass ~{tail:.3e} "
-                f"above tail_tol={tail_tol:.1e} for |alpha|^2="
-                f"{float(np.sum(np.abs(label.alpha)**2)):.3f}")
+    mu = label.occupation
+    tail = poisson_tail(n_levels, mu)
+    if tail > TAIL_TOL:
+        raise PrecisionError(
+            f"Fock cutoff {n_levels} keeps tail mass ~{tail:.3e} above "
+            f"the tail tolerance {TAIL_TOL:.1e} for |alpha|^2={mu:.3f}")
     return StateVector(n_levels, _displaced_columns(label, n_levels, 1)[:, 0])
 
 

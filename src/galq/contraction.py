@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig_banded
-from scipy.special import gammainc
 
 from .coherent import (
     CoherentLabel,
@@ -42,17 +41,15 @@ from .coherent import (
     matrix_element_xp,
     overlap_analytic,
 )
+from . import fock
 from .errors import DegenerateFitError, PrecisionError, ValidationError
 from .fock import edge_mass, hamiltonian_matrix, ladder_matrix, xp_matrices
 
 DEFAULT_HBAR_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 
-# The verified Fock cutoff: start at the smallest N >= MIN_LEVELS whose
-# Poisson tail P[n >= N] is <= START_TAIL, then double the margin N - mu
-# above the mean occupation mu until the largest population in the top
-# levels along the evolution is <= EDGE_TOL.
-MIN_LEVELS = 16
-START_TAIL = 1e-12
+# The verified Fock cutoff: start at fock.start_cutoff of the mean
+# occupation mu, then double the margin N - mu above mu until the largest
+# population in the top levels along the evolution is <= EDGE_TOL.
 EDGE_TOL = 1e-10
 
 # RK4 substeps of the quartic classical reference between two sample times.
@@ -68,49 +65,13 @@ FLOW_SUBSTEPS = 50
 EIGENBASIS_BYTES = 2**30
 
 
-def relabel(p, x, hbar):
-    """Tilde labels (sqrt(hbar) p, sqrt(hbar) x) of a state labeled (p, x)."""
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
-    s = math.sqrt(hbar)
-    return s * np.asarray(p, dtype=float), s * np.asarray(x, dtype=float)
-
-
-def unrelabel(p_tilde, x_tilde, hbar):
-    """Inverse of :func:`relabel`."""
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
-    s = math.sqrt(hbar)
-    return np.asarray(p_tilde, dtype=float) / s, np.asarray(x_tilde, dtype=float) / s
-
-
 def unscaled_label(label, hbar):
-    """Internal (hbar = 1) label of the state carrying the given tilde label."""
-    p, x = unrelabel(label.p, label.x, hbar)
-    return CoherentLabel(p, x, label.theta, label.d)
-
-
-def start_cutoff(mu):
-    """Smallest N >= MIN_LEVELS with gammainc(N, mu) = P[Poisson(mu) >= N]
-    <= START_TAIL: the cutoff that keeps the Fock tail of a coherent state
-    of mean occupation mu (see coherent.coherent_tail_mass)."""
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ValidationError("mean occupation must be finite and >= 0")
-    lo, hi = MIN_LEVELS - 1, MIN_LEVELS  # hi is the first candidate
-    while gammainc(hi, mu) > START_TAIL:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:  # gammainc falls with N: lo fails, hi passes
-        mid = (lo + hi) // 2
-        if gammainc(mid, mu) <= START_TAIL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _occupation(label, hbar):
-    """Mean Fock occupation |alpha|^2 of the unscaled label."""
-    return float(np.sum(np.abs(unscaled_label(label, hbar).alpha) ** 2))
+    """Internal (hbar = 1) label (p/sqrt(hbar), x/sqrt(hbar)) of the state
+    carrying the given tilde label (p, x)."""
+    if not (0 < hbar < math.inf):
+        raise ValidationError("hbar must be positive")
+    s = math.sqrt(hbar)
+    return CoherentLabel(label.p / s, label.x / s, label.theta, label.d)
 
 
 def _labels_distinct(l1, l2):
@@ -132,10 +93,9 @@ def fock_overlap_series(l1, l2, hbar, n_levels):
 
 
 class SweepSpec:
-    """Overlap-decay sweep: hbar grid (strictly descending), tilde label
-    pairs, and the largest Fock cutoff the numeric series may use."""
+    """Overlap-decay sweep: descending hbar grid and tilde label pairs."""
 
-    def __init__(self, hbar_grid, label_pairs, n_cap=8192):
+    def __init__(self, hbar_grid, label_pairs):
         grid = tuple(float(h) for h in hbar_grid)
         if not grid or any(not (0 < h < math.inf) for h in grid):
             raise ValidationError("hbar grid must be positive")
@@ -146,7 +106,6 @@ class SweepSpec:
             raise ValidationError("need at least one label pair")
         self.hbar_grid = grid
         self.label_pairs = pairs
-        self.n_cap = int(n_cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +121,8 @@ class DecayReport:
     abs_overlap: np.ndarray
     offdiag_x: np.ndarray
     offdiag_p: np.ndarray
-    numeric_abs: np.ndarray  # NaN where the cutoff exceeded n_cap
-    n_levels: np.ndarray  # start_cutoff of the pair's larger occupation
+    numeric_abs: np.ndarray  # NaN where n_levels is None
+    n_levels: tuple  # fock.start_cutoff per hbar, None above the cap
     fitted_slope: float
     slope_stderr: float
     expected_slope: float
@@ -237,24 +196,29 @@ def overlap_decay_sweep(spec):
         numov = np.full(hbar.size, math.nan)
         rx = np.empty(hbar.size)
         rp = np.empty(hbar.size)
-        ns = np.empty(hbar.size, dtype=int)
+        ns = []
         for i, h in enumerate(hbar):
             absov[i] = abs(overlap_analytic(l1, l2, h))
             rx[i], rp[i] = diagonalization_diagnostic([l1, l2], h, split=True)
-            # Each state's discarded tail is <= START_TAIL, so by
+            # Each state's discarded tail is <= fock.TAIL_TOL, so by
             # Cauchy-Schwarz so is the series' truncation error.
-            n = ns[i] = start_cutoff(max(_occupation(l1, h),
-                                         _occupation(l2, h)))
-            if n <= spec.n_cap:
+            n = fock.start_cutoff(max(unscaled_label(l1, h).occupation,
+                                      unscaled_label(l2, h).occupation))
+            ns.append(n)
+            if n is not None:
                 numov[i] = abs(fock_overlap_series(l1, l2, h, n))
         slope, stderr = _fit_log_decay(hbar, absov)
         expected = -label_separation_sq(l1, l2) / 4.0
-        reports.append(DecayReport((l1, l2), hbar, absov, rx, rp, numov, ns,
-                                   slope, stderr, expected))
+        reports.append(DecayReport((l1, l2), hbar, absov, rx, rp, numov,
+                                   tuple(ns), slope, stderr, expected))
     return reports
 
 
 def _fit_log_decay(hbar, absov):
+    if not np.all(absov > 0):
+        raise DegenerateFitError(
+            f"|overlap| underflows to 0 at hbar={hbar[absov == 0][0]:g}: "
+            "ln|overlap| has no finite value to fit")
     x = 1.0 / hbar
     y = np.log(absov)
     if x.size < 2:
@@ -410,8 +374,7 @@ def _center_trajectory(tilde, hbar, n_levels, kind, lam, times):
 
 
 def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
-                                   lam=0.1, t_final=2.0, n_samples=101,
-                                   n_cap=65536):
+                                   lam=0.1, t_final=2.0, n_samples=101):
     """Evolve |p0/sqrt(hbar), x0/sqrt(hbar)> quantum mechanically for each
     hbar and compare sqrt(hbar)(<X>, <P>) against the classical trajectory
     started from (x0, p0).
@@ -419,9 +382,9 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     Exactly zero mismatch (to numerics) for the harmonic case at every
     hbar; for the quartic case the deviation shrinks with hbar.
 
-    The Fock cutoff N of each hbar starts at :func:`start_cutoff` of the
-    mean occupation mu and grows to 2N - floor(mu) until the edge mass of
-    the sampled states is <= EDGE_TOL; a cutoff above n_cap raises
+    The Fock cutoff N of each hbar starts at fock.start_cutoff of the mean
+    occupation mu and grows to 2N - floor(mu) until the edge mass of the
+    sampled states is <= EDGE_TOL; a cutoff above fock.MAX_LEVELS raises
     PrecisionError.  The growth doubles the margin above mu, which for
     mu < 1 is doubling N; at small hbar, where mu is in the hundreds,
     doubling N would overshoot what the evolved state needs (at most
@@ -451,19 +414,22 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     qp = np.empty_like(qx)
     tilde = CoherentLabel(p0, x0)
     for i, hbar in enumerate(hbar_grid):
-        mu = _occupation(tilde, hbar)
-        n = start_cutoff(mu)
-        why = "initial tail"
+        mu = unscaled_label(tilde, hbar).occupation
+        n = fock.start_cutoff(mu)
+        if n is None:
+            raise PrecisionError(
+                f"hbar={hbar}: mean occupation {mu:.6g} needs a Fock cutoff "
+                f"> cap {fock.MAX_LEVELS} (initial tail)")
         while True:
-            if n > n_cap:
-                raise PrecisionError(f"hbar={hbar} needs Fock cutoff {n} > "
-                                     f"cap {n_cap} ({why})")
             edges[i], qx_i, qp_i = _center_trajectory(tilde, hbar, n, kind,
                                                       lam, times)
             if qx_i is not None:
                 break
             why = f"edge mass {edges[i]:.2e} > {EDGE_TOL:.0e} at N={n}"
             n = 2 * n - math.floor(mu)
+            if n > fock.MAX_LEVELS:
+                raise PrecisionError(f"hbar={hbar} needs Fock cutoff {n} > "
+                                     f"cap {fock.MAX_LEVELS} ({why})")
         qx[i], qp[i] = qx_i, qp_i
         ns[i] = n
         devs[i] = max(float(np.max(np.abs(qx[i] - cx))),

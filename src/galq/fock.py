@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammainc
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 HERMITIAN_TOL = 1e-12
 
@@ -81,29 +82,42 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def vacuum(n_levels):
-    v = np.zeros(n_levels, dtype=complex)
-    v[0] = 1.0
-    return StateVector(n_levels, v)
+# Fock truncation of a coherent state: its level populations are
+# Poisson(mu) in the mean occupation mu, so a cutoff N discards the mass
+# poisson_tail(N, mu).  Every cutoff galq chooses for one keeps that mass
+# <= TAIL_TOL with at least MIN_LEVELS and at most MAX_LEVELS levels.
+TAIL_TOL = 1e-12
+MIN_LEVELS = 16
+MAX_LEVELS = 65536
 
 
-def inner(phi, psi):
-    """<phi|psi> with the physics convention (conjugate-linear in phi)."""
-    _check_match(phi, psi)
-    return complex(np.vdot(phi.amplitudes, psi.amplitudes))
+def poisson_tail(n_levels, mu):
+    """P[Poisson(mu) >= n_levels]: the mass a coherent state of mean
+    occupation mu puts on the levels a cutoff of n_levels discards."""
+    return float(gammainc(n_levels, mu))
 
 
-def apply(op, psi):
-    if op.n_levels != psi.n_levels:
-        raise ValidationError(
-            f"operator/state dimensions differ: {op.n_levels} vs {psi.n_levels}")
-    return StateVector(psi.n_levels, op.matrix @ psi.amplitudes)
+def start_cutoff(mu):
+    """Smallest N >= MIN_LEVELS with poisson_tail(N, mu) <= TAIL_TOL, or
+    None when not even MAX_LEVELS keeps the tail that small.
 
-
-def expectation(op, psi):
-    """<psi|op|psi>; real part returned for Hermitian op, complex otherwise."""
-    val = inner(psi, apply(op, psi))
-    return val.real if op.is_hermitian(1e-10) else val
+    The tail at MAX_LEVELS is checked before the search, so an occupation
+    of any size, inf included, is refused after one evaluation.
+    """
+    if not mu >= 0:
+        raise ValidationError(f"mean occupation must be >= 0, got {mu!r}")
+    if poisson_tail(MAX_LEVELS, mu) > TAIL_TOL:
+        return None
+    lo, hi = MIN_LEVELS - 1, MIN_LEVELS  # hi is the first candidate
+    while poisson_tail(hi, mu) > TAIL_TOL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # the tail falls with N: lo fails, hi passes
+        mid = (lo + hi) // 2
+        if poisson_tail(mid, mu) <= TAIL_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 EDGE_LEVELS = 4
@@ -158,13 +172,6 @@ def hamiltonian_matrix(kind, x, p, lam=0.1):
         if kind == "quartic":
             h = h + lam * (x2 @ x2)
     return 0.5 * (h + h.conj().T)  # scrub roundoff asymmetry
-
-
-def build_ladder(n_levels):
-    """Annihilation/creation pair: a has sqrt(n) on the superdiagonal."""
-    a = ladder_matrix(n_levels).toarray()
-    return (FockOperator(n_levels, a, label="a"),
-            FockOperator(n_levels, a.T, label="a+"))
 
 
 def build_xp(n_levels, hbar=1.0):
@@ -237,26 +244,43 @@ def save_operator_csv(op, path):
             fh.write(",".join(cells) + "\n")
 
 
+def _number(text, what, line_no):
+    """A finite float read from a CSV cell or tag, else ParseError."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not a number", line_no) from None
+    if not math.isfinite(val):
+        raise ParseError(f"{what} {text!r} is not finite", line_no)
+    return val
+
+
 def load_operator_csv(path):
+    """Read a :func:`save_operator_csv` file.  A cell or hbar tag that is
+    not a finite number, or a row of another length than the first, raises
+    ParseError with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = {"hbar": 1.0, "label": ""}
     rows = []
-    for ln in lines:
+    for line_no, ln in enumerate(lines, start=1):
         if not ln.strip():
             continue
         if ln.startswith("#"):
             for tok in ln[1:].split():
                 if "=" in tok:
                     key, val = tok.split("=", 1)
-                    meta[key] = val
+                    meta[key] = _number(val, "hbar tag", line_no) \
+                        if key == "hbar" else val
             continue
         if ln.startswith("re_0"):
             continue
-        rows.append([float(c) for c in ln.split(",")])
+        rows.append([_number(c, "entry", line_no) for c in ln.split(",")])
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError("row length differs from the first row", line_no)
     data = np.asarray(rows)
     if data.ndim != 2 or data.shape[1] != 2 * data.shape[0]:
         raise ValidationError(f"CSV at {path} is not a square complex matrix")
     n = data.shape[0]
     mat = data[:, 0::2] + 1j * data[:, 1::2]
-    return FockOperator(n, mat, float(meta["hbar"]), str(meta["label"]))
+    return FockOperator(n, mat, meta["hbar"], str(meta["label"]))

@@ -42,10 +42,10 @@ def basis_state(n_levels, n):
 
 
 def variance(op, psi):
-    """<psi|op^2|psi> - <psi|op|psi>^2."""
-    mean = fock.expectation(op, psi)
-    sq = fock.FockOperator(op.n_levels, op.matrix @ op.matrix, op.hbar)
-    return fock.expectation(sq, psi) - mean**2
+    """<psi|op^2|psi> - <psi|op|psi>^2 of a Hermitian FockOperator."""
+    def mean(m):
+        return np.vdot(psi.amplitudes, m @ psi.amplitudes).real
+    return mean(op.matrix @ op.matrix) - mean(op.matrix) ** 2
 
 
 def classical_flow_rk4(x0, p0, times, lam, substeps=50):

@@ -305,6 +305,27 @@ def test_evolve_nonhermitian_file_exits_1(tmp_path):
                 "--outdir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# n_levels=2 hbar=1.0\nre_0,im_0,re_1,im_1\n0,0,x,0\n0,0,1,0\n",
+     "line 3: entry 'x' is not a number"),
+    ("# n_levels=2 hbar=abc\nre_0,im_0,re_1,im_1\n1,0,0,0\n0,0,1,0\n",
+     "line 1: hbar tag 'abc' is not a number"),
+    ("# n_levels=2 hbar=1.0\nre_0,im_0,re_1,im_1\n1,0,0,0\n0,0,nan,0\n",
+     "line 4: entry 'nan' is not finite"),
+    ("# n_levels=2 hbar=1.0\nre_0,im_0,re_1,im_1\n1,0,0,0\n0,0,1\n",
+     "line 4: row length differs from the first row"),
+], ids=["cell", "tag", "nan", "ragged"])
+def test_evolve_malformed_file_exits_1_writing_nothing(tmp_path, capsys,
+                                                       text, message):
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run(["evolve", "--hamiltonian-file", str(path),
+                "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == f"galq: error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_evolve_file_at_another_hbar_exits_1_writing_nothing(tmp_path,
                                                              capsys):
     # evolve runs in internal units: a Hamiltonian saved at hbar = 0.5 is
@@ -377,7 +398,7 @@ def test_contract_classical_quartic_zero_time_exits_1(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags, message", [
-    (["--x0", "1", "--t-final", "100000", "--hbar-grid", "1"],
+    (["--x0", "1", "--t-final", "100000", "--hbar-grid", "1,0.5"],
      "quartic classical reference is not finite at t = 1000: RK4 with "
      "substep dt = 20 left the finite range"),
     (["--x0", "1e120"],
@@ -391,6 +412,71 @@ def test_contract_classical_blown_up_reference_exits_1(tmp_path, capsys,
                 "--outdir", str(tmp_path)]) == 1
     # the whole of stderr: no traceback and no numpy warning
     assert capsys.readouterr().err == f"galq: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0.1,1", "hbar grid must be strictly descending"),
+    ("0.1,0.1", "hbar grid must be strictly descending"),
+    ("0.1", "need at least two hbar points to compare"),
+], ids=["ascending", "repeated", "single"])
+def test_contract_classical_quartic_grid_that_cannot_pass_exits_1(
+        tmp_path, capsys, grid, message):
+    out = tmp_path / "out"
+    assert run(["contract", "classical", "--kind", "quartic", "--hbar-grid",
+                grid, "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == f"galq: error: {message}\n"
+    assert list(out.iterdir()) == []
+    # a harmonic grid is free: its check holds at every hbar
+    assert run(["contract", "classical", "--hbar-grid", grid, "--t-final",
+                "0.5", "--outdir", str(out)]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", [
+    (["--x0", "1e120"], "hbar=1.0: mean occupation 5e+239 needs a Fock "
+     "cutoff > cap 65536 (initial tail)"),
+    # |alpha|^2 = 1e400 is inf: refused as too large, with no numpy warning
+    (["--x0", "1e200", "--p0", "1e200"], "hbar=1.0: mean occupation inf "
+     "needs a Fock cutoff > cap 65536 (initial tail)"),
+], ids=["x0-1e120", "x0-p0-1e200"])
+def test_contract_classical_beyond_the_cutoff_cap_exits_1(tmp_path, capsys,
+                                                          flags, message):
+    assert run(["contract", "classical", *flags,
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"galq: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_contract_sweep_beyond_the_cutoff_cap_skips_the_series(tmp_path):
+    # mean occupation >= 5e19: no cutoff up to 65536 keeps the tail, so no
+    # numeric series; the closed-form slope is still checked
+    assert run(["contract", "sweep", "--pairs", "1e10,0:1e10,0.5",
+                "--outdir", str(tmp_path)]) == 0
+    pair = strict_json(tmp_path / "contract_sweep.json")["results"]["pairs"][0]
+    assert pair["pass"] is True
+    assert pair["n_levels"] == [None] * 7
+    assert pair["max_numeric_gap"] is None
+
+
+def test_contract_sweep_checks_the_series_up_to_the_cap(tmp_path):
+    # cutoffs above 8192 and below 65536 get their numeric check too
+    assert run(["contract", "sweep", "--pairs", "0,240:0,240.5",
+                "--hbar-grid", "1,0.5", "--outdir", str(tmp_path)]) == 0
+    pair = strict_json(tmp_path / "contract_sweep.json")["results"]["pairs"][0]
+    assert pair["n_levels"] == [30125, 59541]
+    assert pair["max_numeric_gap"] <= 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_contract_sweep_underflowed_overlap_exits_1(tmp_path, capsys):
+    # exp(-1/(4 hbar)) is 0 in floats at hbar = 1e-4: ln|overlap| is -inf
+    assert run(["contract", "sweep", "--hbar-grid", "1e-3,1e-4",
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "galq: error: |overlap| underflows to 0 at hbar=0.0001: ln|overlap| "
+        "has no finite value to fit\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -528,6 +614,17 @@ def test_unknown_config_key_exits_1_writing_nothing(tmp_path, line, key,
     assert capsys.readouterr().err == (
         f"galq: error: unknown config key {key}: not a flag of galq "
         "contract classical\n")
+    assert not out.exists()
+
+
+def test_duplicate_config_key_exits_1_writing_nothing(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("k = 1\n# a comment\nk = 2\n")
+    out = tmp_path / "out"
+    assert run(["algebra", "verify", "--config", str(cfgfile),
+                "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "galq: error: line 3: duplicate config key 'k'\n")
     assert not out.exists()
 
 

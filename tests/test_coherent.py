@@ -9,7 +9,7 @@ from scipy.special import gammaincinv
 
 from galq import coherent, fock
 from galq.errors import PrecisionError, ValidationError
-from oracles import expi_hermitian, variance
+from oracles import basis_state, expi_hermitian, variance
 
 
 def fock_overlap(l1, l2, n_levels):
@@ -99,20 +99,14 @@ def test_coherent_state_argument_checks():
     for n_levels in (0, 1):
         with pytest.raises(ValidationError, match="at least 2 levels"):
             coherent.coherent_state(lab, n_levels)
-    for tol in (float("nan"), float("inf"), -1e-12):
-        with pytest.raises(ValidationError, match="tail_tol"):
-            coherent.coherent_state(lab, 32, tail_tol=tol)
     two_axis = coherent.CoherentLabel([0.0, 0.0], [0.0, 0.0], d=2)
     with pytest.raises(ValidationError, match="per axis"):
         coherent.coherent_state(two_axis, 32)
-    # a zero tolerance is a valid (strict) guard
-    with pytest.raises(PrecisionError):
-        coherent.coherent_state(lab, 32, tail_tol=0.0)
 
 
 def test_coherent_state_at_origin_is_vacuum():
     s = coherent.coherent_state(coherent.CoherentLabel(0.0, 0.0), 32)
-    np.testing.assert_allclose(s.amplitudes, fock.vacuum(32).amplitudes,
+    np.testing.assert_allclose(s.amplitudes, basis_state(32, 0).amplitudes,
                                atol=1e-14)
 
 
@@ -121,8 +115,9 @@ def test_labels_are_expectation_values():
     x_op, p_op = fock.build_xp(n_levels, 1.0)
     for p, x in [(0.5, 1.0), (-1.5, 0.25), (2.0, -2.0)]:
         s = coherent.coherent_state(coherent.CoherentLabel(p, x), n_levels)
-        assert fock.expectation(x_op, s) == pytest.approx(x, abs=1e-8)
-        assert fock.expectation(p_op, s) == pytest.approx(p, abs=1e-8)
+        v = s.amplitudes
+        assert np.vdot(v, x_op.matrix @ v).real == pytest.approx(x, abs=1e-8)
+        assert np.vdot(v, p_op.matrix @ v).real == pytest.approx(p, abs=1e-8)
 
 
 def test_coherent_amplitudes_match_displaced_vacuum():
@@ -139,11 +134,19 @@ def test_coherent_amplitudes_match_displaced_vacuum():
 def test_coherent_state_tail_guard():
     with pytest.raises(PrecisionError) as err:
         coherent.coherent_state(coherent.CoherentLabel(5.0, 5.0), 24)
-    assert "tail" in str(err.value)
-    # explicit opt-out must still work
-    s = coherent.coherent_state(coherent.CoherentLabel(5.0, 5.0), 24,
-                                tail_tol=None)
-    assert s.norm <= 1.0 + 1e-12
+    assert str(err.value) == (
+        "Fock cutoff 24 keeps tail mass ~6.061e-01 above the tail tolerance "
+        "1.0e-12 for |alpha|^2=25.000")
+
+
+@pytest.mark.filterwarnings("error")
+def test_coherent_state_tail_guard_far_out():
+    # |alpha|^2 = 1e400 leaves the float range: inf, and no numpy warning
+    lab = coherent.CoherentLabel(1e200, 1e200)
+    assert lab.occupation == math.inf
+    assert coherent.CoherentLabel(3.0, 4.0).occupation == pytest.approx(12.5)
+    with pytest.raises(PrecisionError, match=r"\|alpha\|\^2=inf$"):
+        coherent.coherent_state(lab, 24)
 
 
 def test_normalization_within_guard():

@@ -1,17 +1,18 @@
 """Relabeling, overlap decay, operator diagonalization, classical emergence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammainc
 
 from galq import coherent, contraction, fock, projective
 from galq.coherent import CoherentLabel
 from galq.errors import (DegenerateFitError, PrecisionError, ValidationError)
-from oracles import classical_flow_rk4, exact_evolve
+from oracles import basis_state, classical_flow_rk4, exact_evolve
 
 GRID = contraction.DEFAULT_HBAR_GRID
 
@@ -22,33 +23,26 @@ def occupation(*labels):
 
 
 def test_relabel_examples():
-    p, x = contraction.relabel(3.0, 5.0, 1.0)
-    assert p == 3.0 and x == 5.0
-    p, x = contraction.relabel(3.0, 5.0, 0.01)
-    assert p == pytest.approx(0.3) and x == pytest.approx(0.5)
+    tilde = CoherentLabel(3.0, 5.0, 0.4)
+    internal = contraction.unscaled_label(tilde, 1.0)
+    assert internal.p[0] == 3.0 and internal.x[0] == 5.0
+    assert internal.theta == 0.4
+    internal = contraction.unscaled_label(CoherentLabel(0.3, 0.5), 0.01)
+    assert internal.p[0] == pytest.approx(3.0)
+    assert internal.x[0] == pytest.approx(5.0)
     with pytest.raises(ValidationError):
-        contraction.relabel(1.0, 1.0, 0.0)
-
-
-def test_relabel_roundtrip():
-    rng = np.random.default_rng(6)
-    for hbar in (1.0, 0.37, 1e-4):
-        p, x = rng.normal(size=2)
-        pt, xt = contraction.relabel(p, x, hbar)
-        p2, x2 = contraction.unrelabel(pt, xt, hbar)
-        assert abs(p2 - p) <= 1e-14 * max(1.0, abs(p))
-        assert abs(x2 - x) <= 1e-14 * max(1.0, abs(x))
+        contraction.unscaled_label(tilde, 0.0)
 
 
 @given(st.floats(-1e6, 1e6, allow_subnormal=False),
        st.floats(-1e6, 1e6, allow_subnormal=False),
        st.floats(1e-8, 1e4))
-def test_relabel_and_unrelabel_are_inverse(p, x, hbar):
-    for forth, back in ((contraction.relabel, contraction.unrelabel),
-                        (contraction.unrelabel, contraction.relabel)):
-        p2, x2 = back(*forth(p, x, hbar), hbar)
-        assert abs(p2 - p) <= 1e-15 * abs(p) + 1e-290
-        assert abs(x2 - x) <= 1e-15 * abs(x) + 1e-290
+def test_unscaled_label_inverts_the_relabeling(p, x, hbar):
+    # the tilde label of the state labeled (p, x) is sqrt(hbar) (p, x)
+    s = math.sqrt(hbar)
+    internal = contraction.unscaled_label(CoherentLabel(s * p, s * x), hbar)
+    assert abs(internal.p[0] - p) <= 1e-15 * abs(p) + 1e-290
+    assert abs(internal.x[0] - x) <= 1e-15 * abs(x) + 1e-290
 
 
 def test_relabeled_expectations():
@@ -56,13 +50,13 @@ def test_relabeled_expectations():
     hbar = 0.04
     tilde = CoherentLabel(0.6, -0.8)
     internal = contraction.unscaled_label(tilde, hbar)
-    n_levels = contraction.start_cutoff(occupation(internal))
-    psi = coherent.coherent_state(internal, n_levels)
+    n_levels = fock.start_cutoff(occupation(internal))
+    psi = coherent.coherent_state(internal, n_levels).amplitudes
     x_op, p_op = fock.build_xp(n_levels, 1.0)  # internal units
-    assert math.sqrt(hbar) * fock.expectation(x_op, psi) == pytest.approx(
-        -0.8, abs=1e-8)
-    assert math.sqrt(hbar) * fock.expectation(p_op, psi) == pytest.approx(
-        0.6, abs=1e-8)
+    assert math.sqrt(hbar) * np.vdot(psi, x_op.matrix @ psi).real \
+        == pytest.approx(-0.8, abs=1e-8)
+    assert math.sqrt(hbar) * np.vdot(psi, p_op.matrix @ psi).real \
+        == pytest.approx(0.6, abs=1e-8)
 
 
 def test_sweep_spec_validation():
@@ -120,10 +114,10 @@ def test_numeric_overlap_routes_agree():
         l2 = CoherentLabel(-0.3, 0.6)
         i1 = contraction.unscaled_label(l1, hbar)
         i2 = contraction.unscaled_label(l2, hbar)
-        n_levels = contraction.start_cutoff(occupation(i1, i2))
+        n_levels = fock.start_cutoff(occupation(i1, i2))
         u1 = coherent.displacement(i1, n_levels)
         u2 = coherent.displacement(i2, n_levels)
-        vac = fock.vacuum(n_levels).amplitudes
+        vac = basis_state(n_levels, 0).amplitudes
         brute = complex(np.vdot(u1.matrix @ vac, u2.matrix @ vac))
         series = contraction.fock_overlap_series(l1, l2, hbar, n_levels)
         kernel = coherent.overlap_analytic(l1, l2, hbar)
@@ -131,31 +125,49 @@ def test_numeric_overlap_routes_agree():
         assert abs(brute - kernel) <= 1e-8
 
 
-@given(st.floats(min_value=0.0, max_value=5000.0))
+@given(st.floats(min_value=0.0, max_value=7e4))
+@example(6.3e4)
+@example(6.4e4)
 def test_start_cutoff_is_smallest_poisson_quantile(mu):
-    n = contraction.start_cutoff(mu)
-    assert n >= contraction.MIN_LEVELS
-    assert gammainc(n, mu) <= contraction.START_TAIL
-    assert n == contraction.MIN_LEVELS or gammainc(n - 1, mu) > \
-        contraction.START_TAIL
+    n = fock.start_cutoff(mu)
+    if n is None:  # not even the cap keeps the tail
+        assert gammainc(fock.MAX_LEVELS, mu) > fock.TAIL_TOL
+        return
+    assert fock.MIN_LEVELS <= n <= fock.MAX_LEVELS
+    assert gammainc(n, mu) <= fock.TAIL_TOL
+    assert n == fock.MIN_LEVELS or gammainc(n - 1, mu) > fock.TAIL_TOL
 
 
 def test_start_cutoff_values():
     # mu = 500 is the default hbar = 1e-3 point of `contract classical`
-    assert [contraction.start_cutoff(mu) for mu in (0.0, 0.5, 5.0, 50.0, 500.0)] \
+    assert [fock.start_cutoff(mu) for mu in (0.0, 0.5, 5.0, 50.0, 500.0)] \
         == [16, 16, 28, 108, 666]
     with pytest.raises(ValidationError):
-        contraction.start_cutoff(math.nan)
+        fock.start_cutoff(math.nan)
+
+
+@pytest.mark.parametrize("mu", [math.inf, 5e239, 5e19, 7e4])
+def test_start_cutoff_refuses_beyond_the_cap_at_once(mu, monkeypatch):
+    # one tail evaluation, at the cap, before any search
+    calls = []
+
+    def counted(n, m):
+        calls.append(n)
+        return gammainc(n, m)
+    monkeypatch.setattr(fock, "gammainc", counted)
+    assert fock.start_cutoff(mu) is None
+    assert calls == [fock.MAX_LEVELS]
 
 
 def test_sweep_reports_start_cutoff():
-    l1, l2 = CoherentLabel(0.0, 0.0), CoherentLabel(1.0, 0.5)
+    l1, l2 = CoherentLabel(30.0, 0.0), CoherentLabel(30.0, 0.5)
     rep = contraction.overlap_decay_sweep(
-        contraction.SweepSpec((1.0, 0.01), [(l1, l2)], n_cap=100))[0]
+        contraction.SweepSpec((1.0, 1e-3), [(l1, l2)]))[0]
     mus = [occupation(contraction.unscaled_label(l2, h)) for h in rep.hbar]
-    assert rep.n_levels.tolist() == [contraction.start_cutoff(m) for m in mus]
-    # the hbar = 0.01 cutoff passes n_cap: no numeric value there
-    assert rep.n_levels[1] > 100 and math.isnan(rep.numeric_abs[1])
+    # at hbar = 1e-3 the occupation is 4.5e5, above the cap: no cutoff and
+    # no numeric value there
+    assert rep.n_levels == (fock.start_cutoff(mus[0]), None)
+    assert math.isnan(rep.numeric_abs[1])
     assert abs(rep.numeric_abs[0] - rep.abs_overlap[0]) <= 1e-12
 
 
@@ -246,9 +258,17 @@ def test_quartic_emergence_cutoff_verified_at_hbar_1():
         1.0, 0.0, [1.0], kind="quartic", lam=0.1, t_final=2.0)
     assert rep.n_levels[0] >= 128
     assert rep.edge_mass[0] <= contraction.EDGE_TOL
-    with pytest.raises(PrecisionError, match="edge mass"):
+
+
+def test_quartic_emergence_growth_stops_at_the_cap(monkeypatch):
+    # no real input grows a cutoff past 65536: a quartic one hits the
+    # eigenbasis limit first, and a harmonic one keeps its edge mass
+    monkeypatch.setattr(fock, "MAX_LEVELS", 64)
+    with pytest.raises(PrecisionError) as err:
         contraction.classical_trajectory_emergence(
-            1.0, 0.0, [1.0], kind="quartic", lam=0.1, t_final=2.0, n_cap=64)
+            1.0, 0.0, [1.0], kind="quartic", lam=0.1, t_final=2.0)
+    assert re.fullmatch(r"hbar=1.0 needs Fock cutoff 128 > cap 64 \(edge "
+                        r"mass \S+ > 1e-10 at N=64\)", str(err.value))
 
 
 def test_quartic_emergence_matches_twice_the_cutoff():
@@ -259,7 +279,7 @@ def test_quartic_emergence_matches_twice_the_cutoff():
     # the start (108) fails; one step doubles its margin above mu (~50)
     internal = contraction.unscaled_label(CoherentLabel(0.0, 1.0), hbar)
     mu = occupation(internal)
-    assert rep.n_levels[0] == 2 * contraction.start_cutoff(mu) - math.floor(mu)
+    assert rep.n_levels[0] == 2 * fock.start_cutoff(mu) - math.floor(mu)
     # independent rerun at 2N with the dense builders
     n = 2 * int(rep.n_levels[0])
     psi0 = coherent.coherent_amplitudes(internal, n).amplitudes
@@ -285,9 +305,12 @@ def test_emergence_validation():
         contraction.classical_trajectory_emergence(1.0, 0.0, [1.0], kind="free")
     with pytest.raises(ValidationError):
         contraction.classical_trajectory_emergence(1.0, 0.0, [], kind="harmonic")
-    with pytest.raises(PrecisionError):
+    # mean occupation 5e5: no cutoff up to the cap keeps the tail
+    with pytest.raises(PrecisionError) as err:
         contraction.classical_trajectory_emergence(
-            1.0, 0.0, [1e-5], kind="harmonic", n_cap=1024)
+            1.0, 0.0, [1e-6], kind="harmonic")
+    assert str(err.value) == ("hbar=1e-06: mean occupation 500000 needs a "
+                              "Fock cutoff > cap 65536 (initial tail)")
 
 
 def test_sparse_hamiltonian_matches_dense_builder():
@@ -322,7 +345,7 @@ def test_emergence_propagator_matches_exact_evolution():
 def test_eigen_propagate_rejects_parity_mixing():
     h = contraction.sparse_internal_hamiltonian("quartic", 16, lam_eff=0.1)
     x, _ = fock.xp_matrices(fock.ladder_matrix(16))
-    psi0 = fock.vacuum(16).amplitudes
+    psi0 = basis_state(16, 0).amplitudes
     with pytest.raises(ValidationError, match="parities"):
         contraction.eigen_propagate(h + 1e-3 * x.real, psi0, [0.0, 1.0])
 
@@ -425,8 +448,8 @@ def test_classical_flow_quartic_blowup_raises_precision_error(x0, t_final,
     pytest.param(lambda: contraction.SweepSpec(
         [math.nan], [(CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0))]),
         id="sweep-hbar"),
-    pytest.param(lambda: contraction.relabel(1.0, 1.0, math.nan),
-                 id="relabel-hbar"),
+    pytest.param(lambda: contraction.unscaled_label(
+        CoherentLabel(1.0, 1.0), math.nan), id="relabel-hbar"),
     pytest.param(lambda: projective.EvolutionSpec(
         fock.build_hamiltonian("harmonic", 4), 1.0, math.nan),
         id="spec-dt"),
@@ -455,10 +478,8 @@ def test_classical_flow_quartic_blowup_raises_precision_error(x0, t_final,
         [math.inf, 1.0],
         [(CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0))]),
         id="sweep-hbar-inf"),
-    pytest.param(lambda: contraction.relabel(1.0, 1.0, math.inf),
-                 id="relabel-hbar-inf"),
-    pytest.param(lambda: contraction.unrelabel(1.0, 1.0, math.inf),
-                 id="unrelabel-hbar-inf"),
+    pytest.param(lambda: contraction.unscaled_label(
+        CoherentLabel(1.0, 1.0), math.inf), id="relabel-hbar-inf"),
     pytest.param(lambda: projective.EvolutionSpec(
         fock.build_hamiltonian("harmonic", 4), 0.0, math.inf),
         id="spec-dt-inf"),

@@ -9,25 +9,25 @@ from oracles import basis_state, expi_hermitian, variance
 
 
 def test_ladder_n2_matrix():
-    a, adag = fock.build_ladder(2)
-    np.testing.assert_array_equal(a.matrix, [[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(adag.matrix, a.matrix.conj().T)
+    a = fock.ladder_matrix(2).toarray()
+    np.testing.assert_array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_ladder_lowers_number_states():
     n_levels = 12
-    a, _ = fock.build_ladder(n_levels)
+    a = fock.ladder_matrix(n_levels).toarray()
     for n in range(1, n_levels):
-        lowered = a.matrix @ basis_state(n_levels, n).amplitudes
+        lowered = a @ basis_state(n_levels, n).amplitudes
         expected = np.sqrt(n) * basis_state(n_levels, n - 1).amplitudes
         np.testing.assert_allclose(lowered, expected, atol=1e-15)
-    assert np.all(a.matrix @ basis_state(n_levels, 0).amplitudes == 0)
+    assert np.all(a @ basis_state(n_levels, 0).amplitudes == 0)
 
 
 def test_ladder_commutator_corner():
     n_levels = 9
-    a, adag = fock.build_ladder(n_levels)
-    comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+    a = fock.ladder_matrix(n_levels).toarray()
+    adag = a.conj().T
+    comm = a @ adag - adag @ a
     expected = np.eye(n_levels)
     expected[-1, -1] = -(n_levels - 1)
     np.testing.assert_allclose(comm, expected, atol=1e-13)
@@ -35,7 +35,7 @@ def test_ladder_commutator_corner():
 
 def test_ladder_validation():
     with pytest.raises(ValidationError):
-        fock.build_ladder(1)
+        fock.ladder_matrix(1)
 
 
 def test_xp_n2_matrix():
@@ -54,9 +54,10 @@ def test_xp_hermitian(n_levels):
 
 def test_vacuum_moments():
     x, p = fock.build_xp(64, 1.0)
-    vac = fock.vacuum(64)
-    assert fock.expectation(x, vac) == pytest.approx(0.0, abs=1e-15)
-    assert fock.expectation(p, vac) == pytest.approx(0.0, abs=1e-15)
+    vac = basis_state(64, 0)
+    v = vac.amplitudes
+    assert abs(np.vdot(v, x.matrix @ v)) <= 1e-15
+    assert abs(np.vdot(v, p.matrix @ v)) <= 1e-15
     assert variance(x, vac) == pytest.approx(0.5, abs=1e-12)
     assert variance(p, vac) == pytest.approx(0.5, abs=1e-12)
 
@@ -64,7 +65,7 @@ def test_vacuum_moments():
 @pytest.mark.parametrize("hbar", [1.0, 0.25, 2.0])
 def test_ground_state_minimum_uncertainty(hbar):
     x, p = fock.build_xp(4, hbar)
-    vac = fock.vacuum(4)
+    vac = basis_state(4, 0)
     assert variance(x, vac) == pytest.approx(hbar / 2.0, abs=1e-12)
     assert variance(p, vac) == pytest.approx(hbar / 2.0, abs=1e-12)
 
@@ -109,16 +110,17 @@ def test_harmonic_ground_state_energy():
     for n_levels in (8, 32, 128):
         h = fock.build_hamiltonian("harmonic", n_levels, 1.0)
         assert h.is_hermitian(1e-12)
-        assert fock.expectation(h, fock.vacuum(n_levels)) == pytest.approx(
-            0.5, abs=1e-12)
+        v = basis_state(n_levels, 0).amplitudes
+        assert np.vdot(v, h.matrix @ v).real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_free_hamiltonian_vacuum_energy():
     # <P^2>/2 on the ground state is hbar/4 (Gaussian moment)
     for hbar in (1.0, 0.5):
         h = fock.build_hamiltonian("free", 16, hbar)
-        assert fock.expectation(h, fock.vacuum(16)) == pytest.approx(
-            hbar / 4.0, abs=1e-12)
+        v = basis_state(16, 0).amplitudes
+        assert np.vdot(v, h.matrix @ v).real == pytest.approx(hbar / 4.0,
+                                                              abs=1e-12)
 
 
 def test_quartic_reduces_to_harmonic_at_zero_coupling():
@@ -150,7 +152,7 @@ def test_expi_hermitian_unitary():
 def test_state_vector_validation():
     with pytest.raises(ValidationError):
         fock.StateVector(3, np.array([1.0, np.inf, 0.0], dtype=complex))
-    vac = fock.vacuum(5)
+    vac = basis_state(5, 0)
     assert vac.norm == pytest.approx(1.0, abs=1e-12)
 
 

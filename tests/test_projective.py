@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from galq import coherent, fock, projective
 from galq.errors import ValidationError
-from oracles import exact_evolve
+from oracles import basis_state, exact_evolve
 
 
 def coherent_psi(n_levels, p, x):
@@ -16,7 +16,7 @@ def coherent_psi(n_levels, p, x):
 
 
 def test_vacuum_coordinates():
-    coords = projective.to_coordinates(fock.vacuum(8))
+    coords = projective.to_coordinates(basis_state(8, 0))
     expected_q = np.zeros(8)
     expected_q[0] = math.sqrt(2.0)
     np.testing.assert_allclose(coords.q, expected_q, atol=1e-15)
@@ -77,8 +77,8 @@ def test_eigenstate_is_stationary_ray():
     n_levels = 32
     h = fock.build_hamiltonian("harmonic", n_levels)
     spec = projective.EvolutionSpec(h, 2.0, 1e-3, store_every=200)
-    traj = projective.schrodinger_evolve(fock.vacuum(n_levels), spec)
-    overlaps = np.abs(traj.states @ fock.vacuum(n_levels).amplitudes.conj())
+    traj = projective.schrodinger_evolve(basis_state(n_levels, 0), spec)
+    overlaps = np.abs(traj.states @ basis_state(n_levels, 0).amplitudes.conj())
     np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
     # but the phase itself rotates at the ground energy E = 1/2
     phase = np.angle(traj.states[-1, 0])
@@ -158,7 +158,7 @@ def test_flows_equivalent(kind, lam):
 def test_equivalence_zero_time():
     h = fock.build_hamiltonian("harmonic", 8)
     spec = projective.EvolutionSpec(h, 0.0, 1e-3)
-    assert projective.equivalence_report(fock.vacuum(8), spec) == 0.0
+    assert projective.equivalence_report(basis_state(8, 0), spec) == 0.0
 
 
 def test_energy_conserved_along_hamilton_flow():
@@ -221,7 +221,7 @@ def test_ray_invariants_phase_insensitive():
 
 
 def test_ray_invariants_vacuum():
-    base, sens = projective.ray_invariants(fock.vacuum(16))
+    base, sens = projective.ray_invariants(basis_state(16, 0))
     assert base[0] == pytest.approx(0.0, abs=1e-14)
     assert base[1] == pytest.approx(0.0, abs=1e-14)
     assert base[2] == pytest.approx(0.5, abs=1e-12)
