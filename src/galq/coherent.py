@@ -174,6 +174,7 @@ def overlap_analytic(l1, l2, hbar=1.0):
     squared label separation over 4*hbar.
     """
     _check_matched(l1, l2)
+    hbar = float(hbar)  # a numpy hbar would warn where Python floats overflow
     if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
     cross = sep = 0.0

@@ -15,16 +15,19 @@ sqrt(hbar) <X>, sqrt(hbar) <P> are the quantities compared against the
 classical flow.
 
 The truncated Hamiltonian is real symmetric, banded and keeps the parity
-of n, so :func:`eigen_propagate` diagonalizes it once per cutoff, one
-``eig_banded`` per parity block (bandwidth 2 for quartic, 1 for free; the
-harmonic blocks are diagonal, W = I), and gives every sampled state as
-W (e^{-iEt} o W^T psi0).  Its cost is that of the two diagonalizations
-plus one real product per block, whatever ||H|| t is.  A Krylov or
-truncated-Taylor propagator costs in proportion to ||H|| t (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 2011), and the quartic term makes ||H||
-grow like N^2.  The eigenbasis costs O(N^3) time and O(N^2) memory, which
-wins at the cutoffs of the hbar >= 1e-3 sweeps (N <= ~1000) and loses
-above a few thousand levels.
+of n; it is never built as a matrix.  :func:`fock.hamiltonian_bands` gives
+its three even-offset bands in closed form, each parity block is a strided
+view of them in ``eig_banded``'s band storage, and :func:`eigen_propagate`
+diagonalizes each block once per cutoff (bandwidth 2 for quartic, 1 for
+free; the harmonic blocks are diagonal, W = I) and gives every sampled
+state as W (e^{-iEt} o W^T psi0).  <X> and <P> are read off the products
+of neighbouring amplitudes, with no operator matrices either.  The cost is
+that of the two diagonalizations plus one real product per block, whatever
+||H|| t is.  A Krylov or truncated-Taylor propagator costs in proportion to
+||H|| t (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), and the quartic
+term makes ||H|| grow like N^2.  The eigenbasis costs O(N^3) time and
+O(N^2) memory, which wins at the cutoffs of the hbar >= 1e-3 sweeps
+(N <= ~1000) and loses above a few thousand levels.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .coherent import (
 )
 from . import fock
 from .errors import DegenerateFitError, PrecisionError, ValidationError
-from .fock import edge_mass, hamiltonian_matrix, ladder_matrix, xp_matrices
+from .fock import edge_mass
 
 DEFAULT_HBAR_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 
@@ -72,6 +75,15 @@ def unscaled_label(label, hbar):
         raise ValidationError("hbar must be positive")
     s = math.sqrt(hbar)
     return CoherentLabel(label.p / s, label.x / s, label.theta, label.d)
+
+
+def _internal_occupation(tilde, hbar):
+    """Mean Fock occupation of the state carrying the tilde label at hbar,
+    that of :func:`unscaled_label`; inf, with no numpy overflow warning,
+    when tilde.occupation / hbar is past the float range."""
+    if tilde.occupation / float(hbar) == math.inf:
+        return math.inf
+    return unscaled_label(tilde, hbar).occupation
 
 
 def _labels_distinct(l1, l2):
@@ -202,8 +214,8 @@ def overlap_decay_sweep(spec):
             rx[i], rp[i] = diagonalization_diagnostic([l1, l2], h, split=True)
             # Each state's discarded tail is <= fock.TAIL_TOL, so by
             # Cauchy-Schwarz so is the series' truncation error.
-            n = fock.start_cutoff(max(unscaled_label(l1, h).occupation,
-                                      unscaled_label(l2, h).occupation))
+            n = fock.start_cutoff(max(_internal_occupation(l1, h),
+                                      _internal_occupation(l2, h)))
             ns.append(n)
             if n is not None:
                 numov[i] = abs(fock_overlap_series(l1, l2, h, n))
@@ -232,50 +244,54 @@ def _fit_log_decay(hbar, absov):
 
 # --- classical trajectory emergence ---------------------------------------
 
-def sparse_internal_hamiltonian(kind, n_levels, lam_eff=0.0):
-    """Internal-unit Hamiltonian as a sparse banded matrix; lam_eff is the
-    effective quartic coupling lam * hbar."""
-    x, p = xp_matrices(ladder_matrix(n_levels))
-    return hamiltonian_matrix(kind, x, p, lam_eff).real
+def eigen_propagate(bands, psi0, times):
+    """exp(-i H t) psi0 at each t in times, stacked as rows (len(times), N).
 
-
-def eigen_propagate(h, psi0, times):
-    """exp(-i h t) psi0 at each t in times, stacked as rows (len(times), N).
-
-    h is a real symmetric sparse matrix that keeps the parity of n, as
-    :func:`sparse_internal_hamiltonian` returns; a coupling between even
-    and odd levels raises ValidationError.  Each parity block is
-    diagonalized by one ``eig_banded`` of its lower bands, h = W diag(E) W^T,
-    and its columns are W (e^{-iEt} o W^T psi0).  Both products with W are
-    real, on the (real, imaginary) pairs, so W is never copied to complex.
-    A diagonal block (harmonic) is its own eigenbasis, W = I, at any N; a
-    banded block whose eigenbasis would exceed EIGENBASIS_BYTES raises
-    PrecisionError.
+    H is given by its bands, bands[k, n] = H[n + 2k, n], as
+    :func:`fock.hamiltonian_bands` returns them.  Only even offsets are
+    stored, so H keeps the parity of n and parity block p is exactly
+    bands[:, p::2] in the lower band storage of ``eig_banded``: there is no
+    parity check, slicing or copy, and a coupling of even and odd levels
+    cannot be written at all.  Each block is diagonalized as W diag(E) W^T,
+    and its columns of the result are W (e^{-iEt} o W^T psi0); both
+    products with W are real, on the (real, imaginary) pairs, so W is never
+    copied to complex.  A block whose bands 1 and 2 are all zero
+    (harmonic) is its own eigenbasis, W = I, at any N; a banded block whose
+    eigenbasis would exceed EIGENBASIS_BYTES raises PrecisionError before
+    anything is allocated.  Bands of another shape than (3, N), not finite,
+    or nonzero past the matrix edge raise ValidationError.
     """
-    if h[0::2, 1::2].count_nonzero():
-        raise ValidationError("Hamiltonian mixes the parities of n")
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
-    states = np.empty((times.size, psi0.size), dtype=complex)
-    for parity in (0, 1):  # the even block, the larger, first
-        block = h[parity::2, parity::2].tocoo()
-        m = block.shape[0]
-        width = (block.row - block.col)[block.data != 0].max(initial=0)
+    bands = np.asarray(bands, dtype=float)
+    n = psi0.size
+    if bands.shape != (3, n):
+        raise ValidationError(
+            f"bands must have shape (3, {n}), got {bands.shape}")
+    if not np.all(np.isfinite(bands)):
+        raise ValidationError("bands have non-finite entries")
+    if any(np.any(bands[k, max(n - 2 * k, 0):]) for k in (1, 2)):
+        raise ValidationError("bands are nonzero past the matrix edge")
+    # the highest nonzero band of each parity block, the even (larger) first
+    widths = [max((k for k in (1, 2) if np.any(bands[k, parity::2])),
+                  default=0) for parity in (0, 1)]
+    sizes = ((n + 1) // 2, n // 2)
+    m = max((size for size, width in zip(sizes, widths) if width), default=0)
+    if 24 * m * m > EIGENBASIS_BYTES:
+        raise PrecisionError(
+            f"Fock cutoff {n}: the eigenbasis of its {m}-level parity "
+            f"blocks needs {24 * m * m / 2**20:.0f} MiB, over the "
+            f"{EIGENBASIS_BYTES / 2**20:.0f} MiB limit")
+    states = np.empty((times.size, n), dtype=complex)
+    for parity, width in enumerate(widths):
+        block = bands[:width + 1, parity::2]
         if width == 0:
-            a = np.exp(np.multiply.outer(block.diagonal(), times) * -1j)
+            a = np.exp(np.multiply.outer(block[0], times) * -1j)
             a *= psi0[parity::2, None]
             states[:, parity::2] = a.T
             continue
-        if 24 * m * m > EIGENBASIS_BYTES:
-            raise PrecisionError(
-                f"Fock cutoff {psi0.size}: the eigenbasis of its {m}-level "
-                f"parity blocks needs {24 * m * m / 2**20:.0f} MiB, over the "
-                f"{EIGENBASIS_BYTES / 2**20:.0f} MiB limit")
-        band = np.zeros((width + 1, m))
-        for k in range(width + 1):  # lower storage: band[k, j] = h[j + k, j]
-            band[k, :m - k] = block.diagonal(-k)
-        w, v = eig_banded(band, lower=True, overwrite_a_band=True)
-        pairs = np.ascontiguousarray(psi0[parity::2]).view(float).reshape(m, 2)
+        w, v = eig_banded(block, lower=True, check_finite=False)
+        pairs = np.ascontiguousarray(psi0[parity::2]).view(float).reshape(-1, 2)
         a = np.exp(np.multiply.outer(w, times) * -1j)
         a *= (v.T @ pairs).view(complex)  # W^T psi0 as a column
         states[:, parity::2] = (v @ a.view(float)).view(complex).T
@@ -357,20 +373,23 @@ class EmergenceReport:
 def _center_trajectory(tilde, hbar, n_levels, kind, lam, times):
     """Edge mass and sqrt(hbar)(<X>, <P>) at the sampled times of the state
     carrying the tilde label, evolved on n_levels Fock levels by
-    :func:`eigen_propagate` (one parity-split diagonalization of the
-    internal Hamiltonian for all the times); the trajectory is None when
-    the edge mass exceeds EDGE_TOL."""
+    :func:`eigen_propagate` on the bands of the internal Hamiltonian (one
+    diagonalization per parity block for all the times); the trajectory is
+    None when the edge mass exceeds EDGE_TOL.
+
+    X and P have the one band X[n, n+1] = s_{n+1} = sqrt((n+1)/2) and
+    P[n, n+1] = -i s_{n+1}, so with z_n = conj(psi_n) psi_{n+1},
+    <X> = 2 sum s_{n+1} Re z_n and <P> = 2 sum s_{n+1} Im z_n.
+    """
     psi0 = coherent_amplitudes(unscaled_label(tilde, hbar), n_levels).amplitudes
-    h = sparse_internal_hamiltonian(kind, n_levels, lam_eff=lam * hbar)
-    states = eigen_propagate(h, psi0, times)
+    bands = fock.hamiltonian_bands(kind, n_levels, lam * hbar)
+    states = eigen_propagate(bands, psi0, times)
     edge = edge_mass(states)
     if edge > EDGE_TOL:
         return edge, None, None
-    x_op, p_op = xp_matrices(ladder_matrix(n_levels))
-    s = math.sqrt(hbar)
-    qx = s * np.sum(states.conj() * (x_op @ states.T).T, axis=1).real
-    qp = s * np.sum(states.conj() * (p_op @ states.T).T, axis=1).real
-    return edge, qx, qp
+    z = states[:, :-1].conj() * states[:, 1:]
+    s = 2.0 * math.sqrt(hbar) * fock.x_superdiagonal(n_levels)
+    return edge, z.real @ s, z.imag @ s
 
 
 def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
@@ -414,7 +433,7 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     qp = np.empty_like(qx)
     tilde = CoherentLabel(p0, x0)
     for i, hbar in enumerate(hbar_grid):
-        mu = unscaled_label(tilde, hbar).occupation
+        mu = _internal_occupation(tilde, hbar)
         n = fock.start_cutoff(mu)
         if n is None:
             raise PrecisionError(

@@ -1,8 +1,11 @@
 """Truncated N-level Fock realization of the position/momentum generators
 and reference Hamiltonians.
 
-Truncation policy: operators are built exactly from the truncated ladder
-matrices and the canonical-commutation defect is *reported*, never hidden.
+Truncation policy: X and P are the truncated ladder combinations, built
+from their one band, and the reference Hamiltonians are the products of
+the truncated X and P, built from the closed forms of their band diagonals
+(:func:`hamiltonian_bands`).  The canonical-commutation defect is
+*reported*, never hidden.
 [X, P] - i*hbar*I vanishes identically on the interior; the whole defect
 sits in the (N-1, N-1) corner entry, whose exact value is -i*hbar*N.
 
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc
 
@@ -130,58 +132,35 @@ def edge_mass(states):
     return float(np.max(np.sum(edge, axis=1)))
 
 
-def ladder_matrix(n_levels):
-    """Annihilation operator a as a sparse banded matrix: sqrt(n) on the
-    superdiagonal.  Stored complex, so that X, P and H built from it, sparse
-    or through ``.toarray()``, take only complex products."""
+def x_superdiagonal(n_levels, hbar=1.0):
+    """X[n - 1, n] = sqrt(hbar n / 2) for n = 1 .. N-1: the one band of the
+    truncated position operator X = sqrt(hbar/2)(a + a+), the Jacobi
+    matrix of the Hermite polynomials."""
     if n_levels < 2:
         raise ValidationError("need at least 2 levels")
-    diag = np.sqrt(np.arange(1, n_levels, dtype=float)).astype(complex)
-    return sp.diags(diag, 1, format="csc")
-
-
-def xp_matrices(a, hbar=1.0):
-    """X = sqrt(hbar/2)(a + a+), P = i sqrt(hbar/2)(a+ - a) from a ladder
-    matrix a, sparse or dense.  a is real, so a+ is its transpose."""
     if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
-    adag = a.T
-    s = np.sqrt(hbar / 2.0)
-    return s * (a + adag), 1j * s * (adag - a)
+    return math.sqrt(hbar / 2.0) * np.sqrt(np.arange(1.0, n_levels))
 
 
-HAMILTONIAN_KINDS = ("harmonic", "free", "quartic")
-
-
-def hamiltonian_matrix(kind, x, p, lam=0.1):
-    """Reference Hamiltonians from X and P matrices, sparse or dense:
-    harmonic (P^2 + X^2)/2, free P^2/2, and quartic = harmonic + lam * X^4
-    (lam >= 0; the truncated quartic with negative lam is unbounded below
-    in ways that depend on the cutoff)."""
-    if kind not in HAMILTONIAN_KINDS:
-        raise ValidationError(
-            f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
-    if kind == "quartic" and not (0 <= lam < math.inf):
-        raise ValidationError("quartic coupling lam must be >= 0")
-    p2 = p @ p
-    if kind == "free":
-        h = 0.5 * p2
-    else:
-        x2 = x @ x
-        h = 0.5 * (p2 + x2)
-        if kind == "quartic":
-            h = h + lam * (x2 @ x2)
-    return 0.5 * (h + h.conj().T)  # scrub roundoff asymmetry
+def ladder_matrix(n_levels):
+    """Annihilation operator a as a dense matrix: sqrt(n) on the
+    superdiagonal."""
+    if n_levels < 2:
+        raise ValidationError("need at least 2 levels")
+    return np.diag(np.sqrt(np.arange(1.0, n_levels)), 1)
 
 
 def build_xp(n_levels, hbar=1.0):
-    """Dense X/P pair from :func:`xp_matrices`; both Hermitian.
+    """Dense X = sqrt(hbar/2)(a + a+) and P = i sqrt(hbar/2)(a+ - a); both
+    Hermitian.
 
     Entries scale as sqrt(hbar) relative to the hbar = 1 pair.
     """
-    x, p = xp_matrices(ladder_matrix(n_levels).toarray(), hbar)
-    return (FockOperator(n_levels, x, hbar, "X"),
-            FockOperator(n_levels, p, hbar, "P"))
+    sup = x_superdiagonal(n_levels, hbar)
+    upper, lower = np.diag(sup, 1), np.diag(sup, -1)
+    return (FockOperator(n_levels, upper + lower, hbar, "X"),
+            FockOperator(n_levels, 1j * (lower - upper), hbar, "P"))
 
 
 @functools.lru_cache(maxsize=4)
@@ -189,14 +168,56 @@ def position_basis(n_levels):
     """Eigendecomposition X = V diag(lam) V^T of the truncated hbar = 1
     position operator, cached per cutoff: (lam, V), both read-only.
 
-    X from :func:`xp_matrices` is real tridiagonal, the Jacobi matrix of
-    the Hermite polynomials, so lam are the zeros of H_N (Golub-Welsch).
+    X is real tridiagonal, the Jacobi matrix of the Hermite polynomials,
+    so lam are the zeros of H_N (Golub-Welsch).
     """
-    x, _ = xp_matrices(ladder_matrix(n_levels))
-    lam, vecs = eigh_tridiagonal(np.zeros(n_levels), x.diagonal(1).real)
+    lam, vecs = eigh_tridiagonal(np.zeros(n_levels), x_superdiagonal(n_levels))
     lam.setflags(write=False)
     vecs.setflags(write=False)
     return lam, vecs
+
+
+HAMILTONIAN_KINDS = ("harmonic", "free", "quartic")
+
+
+def hamiltonian_bands(kind, n_levels, lam=0.1):
+    """Reference Hamiltonian at hbar = 1 in band form: a read-only real
+    (3, N) array with bands[k, n] = H[n + 2k, n], zero past the matrix edge.
+
+    The kinds are harmonic (P^2 + X^2)/2, free P^2/2, and quartic =
+    harmonic + lam X^4 (lam >= 0; the truncated quartic with negative lam
+    is unbounded below in ways that depend on the cutoff).  H keeps the
+    parity of n, so only the offsets 0, 2 and 4 are stored.  With
+    s_k^2 = k/2 for 0 < k < N and s_0 = s_N = 0 (X[k-1, k] = s_k), the
+    truncated X^2 has diagonal d_n = s_n^2 + s_{n+1}^2 and offset-2 entries
+    e_n = X^2[n+2, n] = sqrt((n+1)(n+2))/2, P^2 has d and -e, and
+    X^4 = (X^2)^2 has diagonal d_n^2 + e_n^2 + e_{n-2}^2, offset-2 entries
+    e_n (d_n + d_{n+2}) and offset-4 entries e_n e_{n+2} (Golub & Welsch,
+    Math. Comp. 23, 1969, for X as the Jacobi matrix).
+    """
+    if kind not in HAMILTONIAN_KINDS:
+        raise ValidationError(
+            f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
+    if kind == "quartic" and not (0 <= lam < math.inf):
+        raise ValidationError("quartic coupling lam must be >= 0")
+    if n_levels < 2:
+        raise ValidationError("need at least 2 levels")
+    n = np.arange(n_levels, dtype=float)
+    d = n + 0.5
+    d[-1] = n[-1] / 2.0
+    e = np.zeros(n_levels)
+    e[:-2] = np.sqrt(n[1:-1] * n[2:]) / 2.0
+    bands = np.zeros((3, n_levels))
+    if kind == "free":
+        bands[0], bands[1] = d / 2.0, -e / 2.0
+    else:
+        bands[0] = d  # the X^2 and P^2 bands cancel in (P^2 + X^2)/2
+    if kind == "quartic":
+        bands[0] += lam * (d * d + e * e + np.pad(e[:-2] ** 2, (2, 0)))
+        bands[1, :-2] = lam * e[:-2] * (d[:-2] + d[2:])
+        bands[2, :-2] = lam * e[:-2] * e[2:]
+    bands.setflags(write=False)
+    return bands
 
 
 def commutator_defect(x_op, p_op):
@@ -219,10 +240,17 @@ def commutator_defect(x_op, p_op):
 
 
 def build_hamiltonian(kind, n_levels, hbar=1.0, lam=0.1):
-    """Dense reference Hamiltonian from :func:`hamiltonian_matrix`."""
-    x, p = xp_matrices(ladder_matrix(n_levels).toarray(), hbar)
-    return FockOperator(n_levels, hamiltonian_matrix(kind, x, p, lam), hbar,
-                        kind)
+    """Dense reference Hamiltonian hbar H(lam hbar), assembled from the
+    :func:`hamiltonian_bands` of the hbar = 1 operator with the effective
+    coupling lam * hbar (X and P scale as sqrt(hbar))."""
+    if not (0 < hbar < math.inf):
+        raise ValidationError("hbar must be positive")
+    bands = hamiltonian_bands(kind, n_levels, lam * hbar)
+    h = np.zeros((n_levels, n_levels))
+    for k, band in enumerate(bands):
+        rows = np.arange(2 * k, n_levels)
+        h[rows, rows - 2 * k] = h[rows - 2 * k, rows] = band[:rows.size]
+    return FockOperator(n_levels, hbar * h, hbar, kind)
 
 
 # --- CSV debugging interface ----------------------------------------------

@@ -1,14 +1,38 @@
 """Reference helpers used only by the tests: dense eigendecomposition
 oracles, independent of the banded propagator in galq.contraction and of
 the closed forms in galq.coherent and unitary to roundoff by construction,
-the array-based RK4 of the quartic classical reference, plus number states
-and variances on the truncated Fock space."""
+the reference Hamiltonians as products of the X and P matrices, independent
+of the closed-form bands of galq.fock, the array-based RK4 of the quartic
+classical reference, plus number states and variances on the truncated Fock
+space."""
 
 import numpy as np
 
 from galq import fock
 from galq.errors import ValidationError
 from galq.projective import StateTrajectory
+
+
+def xp_matrices(n_levels, hbar=1.0):
+    """Dense X = sqrt(hbar/2)(a + a+), P = i sqrt(hbar/2)(a+ - a) from the
+    ladder matrix a, which is real, so a+ is its transpose."""
+    a = fock.ladder_matrix(n_levels)
+    s = np.sqrt(hbar / 2.0)
+    return s * (a + a.T), 1j * s * (a.T - a)
+
+
+def hamiltonian_matrix(kind, n_levels, lam=0.1):
+    """The hbar = 1 reference Hamiltonian as a product of the dense X and P
+    matrices: harmonic (P^2 + X^2)/2, free P^2/2, quartic harmonic + lam X^4."""
+    x, p = xp_matrices(n_levels)
+    p2 = p @ p
+    if kind == "free":
+        return 0.5 * p2
+    x2 = x @ x
+    h = 0.5 * (p2 + x2)
+    if kind == "quartic":
+        h = h + lam * (x2 @ x2)
+    return h
 
 
 def expi_hermitian(mat, scale=1.0):

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +480,41 @@ def test_contract_sweep_underflowed_overlap_exits_1(tmp_path, capsys):
         "galq: error: |overlap| underflows to 0 at hbar=0.0001: ln|overlap| "
         "has no finite value to fit\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["contract", "classical", "--x0", "1e300", "--hbar-grid", "1e-20"],
+     "hbar=1e-20: mean occupation inf needs a Fock cutoff > cap 65536 "
+     "(initial tail)"),
+    # the occupation is refused as inf and the series skipped; the
+    # closed-form overlap of labels 1e300 apart then underflows
+    (["contract", "sweep", "--pairs", "1e300,0:0,0", "--hbar-grid",
+      "1e-20,1e-21"],
+     "|overlap| underflows to 0 at hbar=1e-20: ln|overlap| has no finite "
+     "value to fit"),
+    (["contract", "sweep", "--hbar-grid", "1e-320,1e-321"],
+     "|overlap| underflows to 0 at hbar=9.99989e-321: ln|overlap| has no "
+     "finite value to fit"),
+], ids=["classical-x0-1e300", "sweep-p-1e300", "sweep-subnormal-hbar"])
+def test_contract_past_the_float_range_exits_1_without_warnings(
+        tmp_path, capsys, argv, message):
+    # occupation / hbar and the kernel's 1/hbar overflow in floats: a
+    # readable refusal, with no numpy warning on the way
+    assert run([*argv, "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"galq: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # every operator is built in band or dense form; scipy.sparse would
+    # only add import time
+    code = "import sys, galq.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_contract_classical_harmonic_zero_time_passes(tmp_path):

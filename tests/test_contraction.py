@@ -313,41 +313,95 @@ def test_emergence_validation():
                               "Fock cutoff > cap 65536 (initial tail)")
 
 
-def test_sparse_hamiltonian_matches_dense_builder():
-    for kind, lam in (("harmonic", 0.0), ("free", 0.0), ("quartic", 0.07)):
-        sparse = contraction.sparse_internal_hamiltonian(kind, 16, lam_eff=lam)
-        dense = fock.build_hamiltonian(kind, 16, 1.0, lam=lam)
-        np.testing.assert_allclose(sparse.toarray(), dense.matrix, atol=1e-12)
-
-
 def test_emergence_propagator_matches_exact_evolution():
-    # the banded eigenbasis propagation against two independent oracles:
-    # the dense eigendecomposition and scipy's Taylor-series propagator
+    # the banded eigenbasis propagation against two independent oracles on
+    # the dense H: its eigendecomposition and scipy's Taylor-series
+    # propagator
     hbar = 0.25
     tilde = CoherentLabel(0.4, 0.9)
     internal = contraction.unscaled_label(tilde, hbar)
     n_levels = 64
     psi0 = coherent.coherent_amplitudes(internal, n_levels)
     times = np.linspace(0.0, 2.0, 11)
-    for kind in ("harmonic", "free", "quartic"):
+    for kind in fock.HAMILTONIAN_KINDS:
         h_dense = fock.build_hamiltonian(kind, n_levels, 1.0, lam=0.1 * hbar)
-        h_sparse = contraction.sparse_internal_hamiltonian(kind, n_levels,
-                                                           lam_eff=0.1 * hbar)
-        states = contraction.eigen_propagate(h_sparse, psi0.amplitudes, times)
+        bands = fock.hamiltonian_bands(kind, n_levels, 0.1 * hbar)
+        states = contraction.eigen_propagate(bands, psi0.amplitudes, times)
         exact = exact_evolve(psi0, h_dense, times)
-        taylor = expm_multiply(-1j * h_sparse, psi0.amplitudes, start=0.0,
-                               stop=2.0, num=11, endpoint=True)
+        taylor = expm_multiply(-1j * h_dense.matrix, psi0.amplitudes,
+                               start=0.0, stop=2.0, num=11, endpoint=True)
         assert states.shape == (times.size, n_levels)
         assert np.max(np.abs(states - exact.states)) <= 1e-9, kind
         assert np.max(np.abs(states - taylor)) <= 1e-9, kind
 
 
-def test_eigen_propagate_rejects_parity_mixing():
-    h = contraction.sparse_internal_hamiltonian("quartic", 16, lam_eff=0.1)
-    x, _ = fock.xp_matrices(fock.ladder_matrix(16))
-    psi0 = basis_state(16, 0).amplitudes
-    with pytest.raises(ValidationError, match="parities"):
-        contraction.eigen_propagate(h + 1e-3 * x.real, psi0, [0.0, 1.0])
+def test_eigen_propagate_on_odd_cutoffs_and_a_banded_odd_block():
+    # an odd cutoff has one more even level than odd; a block is banded or
+    # diagonal on its own, whatever the other block is
+    times = np.array([0.0, 0.7, 1.5])
+    rng = np.random.default_rng(3)
+    for n_levels in (3, 5, 17):
+        psi0 = rng.normal(size=n_levels) + 1j * rng.normal(size=n_levels)
+        psi0 /= np.linalg.norm(psi0)
+        bands = np.array(fock.hamiltonian_bands("free", n_levels))
+        bands[1, 0::2] = 0.0  # only the odd block stays banded
+        dense = np.diag(bands[0]) + np.diag(bands[1, :n_levels - 2], -2) \
+            + np.diag(bands[1, :n_levels - 2], 2)
+        w, v = np.linalg.eigh(dense)
+        exact = (np.exp(-1j * np.outer(times, w)) * (v.T @ psi0)) @ v.T
+        states = contraction.eigen_propagate(bands, psi0, times)
+        assert np.max(np.abs(states - exact)) <= 1e-12, n_levels
+
+
+def test_center_trajectory_matches_the_xp_matrices():
+    # <X> and <P> from z_n = conj(psi_n) psi_{n+1} against the dense X and
+    # P of fock.build_xp on the same propagated states
+    hbar, n_levels = 0.05, 96
+    tilde = CoherentLabel(0.6, -0.8)
+    times = np.linspace(0.0, 2.0, 21)
+    edge, qx, qp = contraction._center_trajectory(tilde, hbar, n_levels,
+                                                  "quartic", 0.1, times)
+    assert edge <= contraction.EDGE_TOL
+    psi0 = coherent.coherent_amplitudes(
+        contraction.unscaled_label(tilde, hbar), n_levels).amplitudes
+    states = contraction.eigen_propagate(
+        fock.hamiltonian_bands("quartic", n_levels, 0.1 * hbar), psi0, times)
+    x_op, p_op = fock.build_xp(n_levels, 1.0)
+    s = math.sqrt(hbar)
+    ex = s * np.einsum("ti,ij,tj->t", states.conj(), x_op.matrix, states).real
+    ep = s * np.einsum("ti,ij,tj->t", states.conj(), p_op.matrix, states).real
+    assert np.max(np.abs(qx - ex)) <= 1e-12
+    assert np.max(np.abs(qp - ep)) <= 1e-12
+    assert abs(qx[0] + 0.8) <= 1e-12 and abs(qp[0] - 0.6) <= 1e-12
+
+
+def test_eigen_propagate_rejects_malformed_bands():
+    # parity mixing cannot be written in band form; what can be written
+    # wrong is the shape, a non-finite entry, or a band past the edge
+    n_levels = 16
+    good = fock.hamiltonian_bands("quartic", n_levels, 0.1)
+    psi0 = basis_state(n_levels, 0).amplitudes
+    nan = np.array(good)
+    nan[0, 5] = math.nan
+    inf = np.array(good)
+    inf[2, 0] = math.inf
+    cases = [(good[:, :-1], "shape"), (good[:2], "shape"),
+             (np.stack([good] * 2), "shape"), (nan, "non-finite"),
+             (inf, "non-finite")]
+    for k in (1, 2):
+        for n in range(n_levels - 2 * k, n_levels):
+            past = np.array(good)
+            past[k, n] = 1e-3
+            cases.append((past, "past the matrix edge"))
+    for bands, match in cases:
+        with pytest.raises(ValidationError, match=match):
+            contraction.eigen_propagate(bands, psi0, [0.0, 1.0])
+    small = fock.hamiltonian_bands("quartic", 3, 0.1)
+    edge = np.array(small)
+    edge[2, 0] = 1.0  # H[4, 0] of a 3-level matrix
+    with pytest.raises(ValidationError, match="past the matrix edge"):
+        contraction.eigen_propagate(edge, np.ones(3), [0.0])
+    contraction.eigen_propagate(small, np.ones(3), [0.0])
 
 
 def test_eigen_propagate_memory_stays_linear_or_bounded():
@@ -355,17 +409,17 @@ def test_eigen_propagate_memory_stays_linear_or_bounded():
     # any cutoff; a banded block over the eigenbasis limit is refused
     # before anything of size N^2 is allocated
     n_levels = 20001
-    h = contraction.sparse_internal_hamiltonian("harmonic", n_levels)
+    bands = fock.hamiltonian_bands("harmonic", n_levels)
     psi0 = np.zeros(n_levels, dtype=complex)
     psi0[[0, 7, 20000]] = [0.6, 0.8j, 1e-3]
     times = np.array([0.0, 0.3, 2.0])
-    exact = np.exp(-1j * np.outer(times, h.diagonal())) * psi0
-    states = contraction.eigen_propagate(h, psi0, times)
+    exact = np.exp(-1j * np.outer(times, bands[0])) * psi0
+    states = contraction.eigen_propagate(bands, psi0, times)
     assert np.max(np.abs(states - exact)) <= 1e-12
     m = math.isqrt(contraction.EIGENBASIS_BYTES // 24) + 1
-    h = contraction.sparse_internal_hamiltonian("quartic", 2 * m, lam_eff=1e-4)
+    bands = fock.hamiltonian_bands("quartic", 2 * m, 1e-4)
     with pytest.raises(PrecisionError, match=f"{m}-level parity blocks"):
-        contraction.eigen_propagate(h, np.zeros(2 * m), times)
+        contraction.eigen_propagate(bands, np.zeros(2 * m), times)
 
 
 def test_criterion_09_grid_keeps_its_cutoffs():

@@ -1,21 +1,24 @@
 """Truncated ladder algebra, CCR defect accounting, reference Hamiltonians."""
 
+import math
+
 import numpy as np
 import pytest
 
 from galq import fock
 from galq.errors import ValidationError
-from oracles import basis_state, expi_hermitian, variance
+from oracles import (basis_state, expi_hermitian, hamiltonian_matrix,
+                     variance, xp_matrices)
 
 
 def test_ladder_n2_matrix():
-    a = fock.ladder_matrix(2).toarray()
+    a = fock.ladder_matrix(2)
     np.testing.assert_array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_ladder_lowers_number_states():
     n_levels = 12
-    a = fock.ladder_matrix(n_levels).toarray()
+    a = fock.ladder_matrix(n_levels)
     for n in range(1, n_levels):
         lowered = a @ basis_state(n_levels, n).amplitudes
         expected = np.sqrt(n) * basis_state(n_levels, n - 1).amplitudes
@@ -25,7 +28,7 @@ def test_ladder_lowers_number_states():
 
 def test_ladder_commutator_corner():
     n_levels = 9
-    a = fock.ladder_matrix(n_levels).toarray()
+    a = fock.ladder_matrix(n_levels)
     adag = a.conj().T
     comm = a @ adag - adag @ a
     expected = np.eye(n_levels)
@@ -127,6 +130,52 @@ def test_quartic_reduces_to_harmonic_at_zero_coupling():
     h0 = fock.build_hamiltonian("harmonic", 24, 1.0)
     hq = fock.build_hamiltonian("quartic", 24, 1.0, lam=0.0)
     np.testing.assert_array_equal(h0.matrix, hq.matrix)
+
+
+def test_hamiltonian_bands_match_the_xp_product_oracle():
+    # the closed-form bands, assembled to the dense H, against the products
+    # of the truncated X and P matrices, at even and odd cutoffs down to the
+    # smallest, where bands 1 and 2 run past the matrix edge
+    for n_levels in (2, 3, 4, 5, 16, 17, 64):
+        for kind in fock.HAMILTONIAN_KINDS:
+            bands = fock.hamiltonian_bands(kind, n_levels, 0.07)
+            assert bands.shape == (3, n_levels)
+            assert bands.dtype == float
+            dense = sum(np.diag(bands[k, :n_levels - 2 * k], -2 * k)
+                        for k in range(3) if 2 * k < n_levels)
+            dense = dense + np.tril(dense, -1).T
+            oracle = hamiltonian_matrix(kind, n_levels, 0.07)
+            assert np.max(np.abs(dense - oracle)) <= 1e-12, (kind, n_levels)
+            h = fock.build_hamiltonian(kind, n_levels, 1.0, lam=0.07)
+            np.testing.assert_array_equal(h.matrix, dense)
+            for k in (1, 2):
+                assert not np.any(bands[k, max(n_levels - 2 * k, 0):])
+
+
+def test_hamiltonian_bands_are_read_only_and_validated():
+    bands = fock.hamiltonian_bands("quartic", 8, 0.1)
+    with pytest.raises(ValueError):
+        bands[0, 0] = 0.0
+    assert not np.any(fock.hamiltonian_bands("harmonic", 8)[1:])
+    assert not np.any(fock.hamiltonian_bands("free", 8)[2])
+    for call in (lambda: fock.hamiltonian_bands("cubic", 8),
+                 lambda: fock.hamiltonian_bands("quartic", 8, -0.1),
+                 lambda: fock.hamiltonian_bands("quartic", 8, math.nan),
+                 lambda: fock.hamiltonian_bands("harmonic", 1)):
+        with pytest.raises(ValidationError):
+            call()
+
+
+@pytest.mark.parametrize("kind", fock.HAMILTONIAN_KINDS)
+def test_dense_hamiltonian_scales_as_hbar_at_coupling_lam_hbar(kind):
+    # X and P scale as sqrt(hbar): H(hbar, lam) = hbar H(1, lam hbar)
+    hbar, lam = 0.3, 0.2
+    h = fock.build_hamiltonian(kind, 12, hbar, lam=lam).matrix
+    x, p = xp_matrices(12, hbar)
+    oracle = 0.5 * (p @ p) if kind == "free" else 0.5 * (p @ p + x @ x)
+    if kind == "quartic":
+        oracle = oracle + lam * np.linalg.matrix_power(x, 4)
+    assert np.max(np.abs(h - oracle)) <= 1e-12
 
 
 def test_quartic_negative_coupling_rejected():
