@@ -32,7 +32,6 @@ import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__, algebra, coherent, contraction, coset, fock, projective
 from .errors import GalqError, ParseError, ToleranceError, ValidationError
@@ -380,7 +379,8 @@ def run_coset_orbit(cfg):
     if kind == "spacetime":
         rot = _vec(cfg["rot"], "rot")
         g = coset.GalileiElement(B=cfg["b"] * dt, V=_vec(cfg["v"], "v") * dt,
-                                 R=expm(coset.omega_from_vector(rot * dt)),
+                                 R=coset.expm(
+                                     coset.omega_from_vector(rot * dt)),
                                  A=_vec(cfg["a"], "a") * dt)
         pt_vals = _vec(cfg["point"] or "0,0,0,0", "spacetime point t,x1,x2,x3", 4)
         pt = coset.SpaceTime(pt_vals[0], pt_vals[1:])

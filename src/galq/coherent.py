@@ -16,11 +16,11 @@ which the Fock-space inner product reproduces at hbar = 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import PrecisionError, ValidationError
 from .fock import (TAIL_TOL, FockOperator, StateVector, poisson_tail,
@@ -137,6 +137,21 @@ def coherent_state(label, n_levels):
     return StateVector(n_levels, _displaced_columns(label, n_levels, 1)[:, 0])
 
 
+@functools.lru_cache(maxsize=None)
+def _log_factorial_table(size):
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.setflags(write=False)
+    return table
+
+
+def _log_factorials(n_levels):
+    """ln n! for n < n_levels, read-only: a prefix of one cached
+    ``math.lgamma`` table per power of two, so every cutoff up to
+    fock.MAX_LEVELS is served by at most 17 tables."""
+    size = 1 << max(n_levels - 1, 1).bit_length()
+    return _log_factorial_table(size)[:n_levels]
+
+
 def _log_space_amplitudes(alpha, n_levels):
     """Rows e^{-|a|^2/2} a^n/sqrt(n!), n < n_levels, one per entry of the
     1-d array alpha; evaluated in log space, stable for large |alpha|."""
@@ -144,7 +159,7 @@ def _log_space_amplitudes(alpha, n_levels):
     absa = np.abs(alpha)
     log_absa = np.log(np.where(absa > 0, absa, 1.0))  # alpha=0 rows fixed below
     log_mag = (-0.5 * absa[:, None] ** 2 + n[None, :] * log_absa[:, None]
-               - 0.5 * gammaln(n + 1.0)[None, :])
+               - 0.5 * _log_factorials(n_levels)[None, :])
     amps = np.exp(log_mag) * np.exp(1j * n[None, :] * np.angle(alpha)[:, None])
     amps[absa == 0] = (n == 0).astype(complex)
     return amps
@@ -171,7 +186,8 @@ def overlap_analytic(l1, l2, hbar=1.0):
     """<l1|l2> from the closed-form kernel; factorizes over axes.
 
     Equals 1 when the labels coincide; the Gaussian factor decays with the
-    squared label separation over 4*hbar.
+    squared label separation over 4*hbar.  Where that factor underflows,
+    the kernel is exactly 0, even when the phase overflows to infinity.
     """
     _check_matched(l1, l2)
     hbar = float(hbar)  # a numpy hbar would warn where Python floats overflow
@@ -183,7 +199,10 @@ def overlap_analytic(l1, l2, hbar=1.0):
         cross += x1 * p2 - p1 * x2
         sep += dx * dx + dp * dp
     phase = cross / (2.0 * hbar) + (l2.theta - l1.theta)
-    return cmath.exp(1j * phase - sep / (4.0 * hbar))
+    gauss = sep / (4.0 * hbar)
+    if math.exp(-gauss) == 0.0:
+        return 0j
+    return cmath.exp(1j * phase - gauss)
 
 
 def matrix_element_xp(l1, l2, hbar=1.0):

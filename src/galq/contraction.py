@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .coherent import (
     CoherentLabel,
@@ -229,7 +228,7 @@ def overlap_decay_sweep(spec):
 def _fit_log_decay(hbar, absov):
     if not np.all(absov > 0):
         raise DegenerateFitError(
-            f"|overlap| underflows to 0 at hbar={hbar[absov == 0][0]:g}: "
+            f"|overlap| underflows to 0 at hbar={hbar[~(absov > 0)][0]:g}: "
             "ln|overlap| has no finite value to fit")
     x = 1.0 / hbar
     y = np.log(absov)
@@ -290,6 +289,13 @@ def eigen_propagate(bands, psi0, times):
             a *= psi0[parity::2, None]
             states[:, parity::2] = a.T
             continue
+        # galq's one scipy call, imported here so that only banded runs
+        # load scipy.linalg.  np.linalg.eigh of the dense block is 1.35-1.46x
+        # slower at the blocks of the hbar >= 1e-3 sweeps (10.9 against
+        # 8.1 ms at 333 levels, 18.1 against 12.4 ms at 416), ~15 ms more
+        # on a ~0.1 s classical-limit benchmark pass; it only wins from
+        # ~1000 levels (0.14 against 0.22 s).
+        from scipy.linalg import eig_banded
         w, v = eig_banded(block, lower=True, check_finite=False)
         pairs = np.ascontiguousarray(psi0[parity::2]).view(float).reshape(-1, 2)
         a = np.exp(np.multiply.outer(w, times) * -1j)

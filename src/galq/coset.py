@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ValidationError
 
@@ -228,10 +227,48 @@ def _generator(e, pt, hbar=1.0):
     return m
 
 
+# 1/k! for k = 0 .. 16.  Row j of the blocks holds the coefficients of
+# a^{4j + 1} .. a^{4j + 3}; the a^{4j} ones go on their diagonals.
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(17)])
+_TAYLOR_BLOCKS = _TAYLOR[:16].reshape(4, 4)[:, 1:]
+_TAYLOR_DIAGONALS = _TAYLOR[:16:4, None]
+
+
+def expm(a):
+    """Matrix exponential of a small real square matrix by scaling and
+    squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005).
+
+    a / 2**s has Frobenius norm below 1/2, where the degree-16 Taylor
+    polynomial is exact to far below rounding (its first omitted term is
+    under 2**-17 / 17! ~ 2e-20).  The polynomial is evaluated by
+    Paterson-Stockmeyer, as a Horner scheme in a^4 whose coefficients are
+    combinations of I, a, a^2 and a^3, in 6 matrix products, and is then
+    squared s times.
+    """
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    s = max(0, math.frexp(math.sqrt(float(np.vdot(a, a))))[1] + 1)
+    powers = np.empty((3, n, n))
+    np.multiply(a, 2.0 ** -s, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    a4 = powers[1] @ powers[1]
+    blocks = _TAYLOR_BLOCKS @ powers.reshape(3, -1)
+    blocks[:, ::n + 1] += _TAYLOR_DIAGONALS
+    blocks = blocks.reshape(4, n, n)
+    out = blocks[3] + _TAYLOR[16] * a4
+    for block in blocks[2::-1]:
+        out = out @ a4 + block
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def exp_action(e, pt, t=1.0):
-    """Finite action exp(t * generator) on the column (coordinates(pt), 1).
-    For pure translations the generator is nilpotent, so the exponential
-    terminates and theta picks up the Heisenberg-Weyl cocycle exactly."""
+    """Finite action exp(t * generator) on the column (coordinates(pt), 1),
+    by :func:`expm`.  For pure translations the generator is nilpotent, so
+    the exponential terminates and theta picks up the Heisenberg-Weyl
+    cocycle exactly."""
     col = np.append(coordinates(pt), 1.0)
     return type(pt)(*_split(pt, expm(t * _generator(e, pt)) @ col))
 

@@ -496,7 +496,14 @@ def test_contract_sweep_underflowed_overlap_exits_1(tmp_path, capsys):
     (["contract", "sweep", "--hbar-grid", "1e-320,1e-321"],
      "|overlap| underflows to 0 at hbar=9.99989e-321: ln|overlap| has no "
      "finite value to fit"),
-], ids=["classical-x0-1e300", "sweep-p-1e300", "sweep-subnormal-hbar"])
+    # a nonzero cross term: the kernel's phase overflows to inf as its
+    # Gaussian factor underflows, and the kernel is 0, not NaN
+    (["contract", "sweep", "--pairs", "1,1:1,2", "--hbar-grid",
+      "1e-320,1e-321"],
+     "|overlap| underflows to 0 at hbar=9.99989e-321: ln|overlap| has no "
+     "finite value to fit"),
+], ids=["classical-x0-1e300", "sweep-p-1e300", "sweep-subnormal-hbar",
+        "sweep-subnormal-hbar-phase-overflow"])
 def test_contract_past_the_float_range_exits_1_without_warnings(
         tmp_path, capsys, argv, message):
     # occupation / hbar and the kernel's 1/hbar overflow in floats: a
@@ -506,15 +513,30 @@ def test_contract_past_the_float_range_exits_1_without_warnings(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_leaves_scipy_sparse_out():
-    # every operator is built in band or dense form; scipy.sparse would
-    # only add import time
-    code = "import sys, galq.cli; print('scipy.sparse' in sys.modules)"
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["contract", "classical", "--kind", "harmonic"], set()),
+    (["contract", "classical", "--kind", "quartic", "--hbar-grid", "1,0.1"],
+     {"linalg"}),
+], ids=["import", "classical-harmonic", "classical-quartic"])
+def test_scipy_modules_loaded(tmp_path, argv, loaded):
+    # galq runs on numpy; the banded eigensolver of the quartic emergence
+    # is its one scipy call, so only that run may load scipy.linalg (with
+    # the private modules and the version module every scipy import loads)
+    code = "import sys, galq, galq.cli\n"
+    if argv is not None:
+        code += f"galq.cli.main({[*argv, '--outdir', str(tmp_path)]!r})\n"
+    code += ("import json; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('scipy'))))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "False\n"
+    modules = json.loads(out.splitlines()[-1])
+    if not loaded:
+        assert modules == []
+    subpackages = {m.split(".")[1] for m in modules if "." in m} - {"version"}
+    assert {s for s in subpackages if not s.startswith("_")} == loaded
 
 
 def test_contract_classical_harmonic_zero_time_passes(tmp_path):

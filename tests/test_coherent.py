@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.special import gammaincinv
+from scipy.special import gammaincinv, gammaln
 
 from galq import coherent, fock
 from galq.errors import PrecisionError, ValidationError
@@ -118,6 +118,16 @@ def test_labels_are_expectation_values():
         v = s.amplitudes
         assert np.vdot(v, x_op.matrix @ v).real == pytest.approx(x, abs=1e-8)
         assert np.vdot(v, p_op.matrix @ v).real == pytest.approx(p, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 16, 17, 129, 4501])
+def test_log_factorials_match_gammaln(n_levels):
+    table = coherent._log_factorials(n_levels)
+    ref = gammaln(np.arange(n_levels) + 1.0)
+    assert table.shape == (n_levels,)
+    assert np.max(np.abs(table - ref) / np.maximum(ref, 1.0)) <= 4 * 2.0**-52
+    with pytest.raises(ValueError):
+        table[0] = 1.0
 
 
 def test_coherent_amplitudes_match_displaced_vacuum():

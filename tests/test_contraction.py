@@ -138,6 +138,47 @@ def test_start_cutoff_is_smallest_poisson_quantile(mu):
     assert n == fock.MIN_LEVELS or gammainc(n - 1, mu) > fock.TAIL_TOL
 
 
+def gammainc_start_cutoff(mu):
+    """fock.start_cutoff's rule as a bisection search on scipy's
+    regularized gamma function, the oracle for its cutoffs."""
+    if gammainc(fock.MAX_LEVELS, mu) > fock.TAIL_TOL:
+        return None
+    lo, hi = fock.MIN_LEVELS - 1, fock.MIN_LEVELS  # lo fails, hi is untried
+    while gammainc(hi, mu) > fock.TAIL_TOL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gammainc(mid, mu) <= fock.TAIL_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-6, 0.3, 1.0, 5.0, 50.0, 500.0, 2e4,
+                                6.4e4, 65536.0, 7e4, 1e6, math.inf])
+def test_poisson_tail_matches_gammainc(mu):
+    # N >> mu, N near mu and N << mu, up to the cap and past it
+    worst = 0.0
+    for n in (1, 2, 5, 16, 17, 30, 100, 499, 500, 501, 666, 1000, 5000,
+              19_999, 20_000, 21_000, 40_000, 63_999, 64_000, 65_535,
+              fock.MAX_LEVELS, 65_600, 70_000, 200_000):
+        ref = float(gammainc(n, mu))
+        tail = fock.poisson_tail(n, mu)
+        assert 0.0 <= tail <= 1.0
+        if ref >= 1e-300:
+            worst = max(worst, abs(tail - ref) / ref)
+        else:
+            assert tail <= 1e-290
+    assert worst <= 1e-9
+
+
+def test_start_cutoff_matches_the_gammainc_search():
+    mus = np.geomspace(1e-6, 2e4, 4000).tolist()
+    assert [fock.start_cutoff(mu) for mu in mus] \
+        == [gammainc_start_cutoff(mu) for mu in mus]
+
+
 def test_start_cutoff_values():
     # mu = 500 is the default hbar = 1e-3 point of `contract classical`
     assert [fock.start_cutoff(mu) for mu in (0.0, 0.5, 5.0, 50.0, 500.0)] \
@@ -150,11 +191,12 @@ def test_start_cutoff_values():
 def test_start_cutoff_refuses_beyond_the_cap_at_once(mu, monkeypatch):
     # one tail evaluation, at the cap, before any search
     calls = []
+    tail = fock.poisson_tail
 
     def counted(n, m):
         calls.append(n)
-        return gammainc(n, m)
-    monkeypatch.setattr(fock, "gammainc", counted)
+        return tail(n, m)
+    monkeypatch.setattr(fock, "poisson_tail", counted)
     assert fock.start_cutoff(mu) is None
     assert calls == [fock.MAX_LEVELS]
 

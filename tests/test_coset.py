@@ -218,6 +218,31 @@ def test_nilpotent_exponential_closed_form():
     np.testing.assert_allclose(out.x, ref.x, atol=1e-12)
 
 
+@pytest.mark.parametrize("coset_kind", ["spacetime", "config", "phase"])
+def test_exp_action_matches_scipy_expm_of_the_generator(coset_kind):
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        e = coset.InfinitesimalElement(
+            b=rng.uniform(-2, 2), v=rng.uniform(-2, 2, 3),
+            omega=coset.omega_from_vector(rng.uniform(-2, 2, 3)),
+            a=rng.uniform(-2, 2, 3), pbar=rng.uniform(-2, 2, 3),
+            xbar=rng.uniform(-2, 2, 3), thetabar=rng.uniform(-1, 1))
+        u3 = rng.uniform(-2, 2, (2, 3))
+        pt = {"spacetime": coset.SpaceTime(rng.uniform(-2, 2), u3[0]),
+              "config": coset.Config(u3[0], rng.uniform(-1, 1)),
+              "phase": coset.Phase(u3[0], u3[1], rng.uniform(-1, 1)),
+              }[coset_kind]
+        t = rng.uniform(-2, 2)
+        gen = t * coset._generator(e, pt)
+        ref = expm(gen)
+        assert np.max(np.abs(coset.expm(gen) - ref)) \
+            <= 1e-13 * np.max(np.abs(ref))
+        col = np.append(coset.coordinates(pt), 1.0)
+        out = coset.coordinates(coset.exp_action(e, pt, t))
+        np.testing.assert_allclose(out, (ref @ col)[:-1], rtol=1e-13,
+                                   atol=1e-13)
+
+
 def test_finite_phase_actions_accumulate_weyl_cocycle():
     e1 = coset.InfinitesimalElement(pbar=(1.0, 0.0, 0.0))
     e2 = coset.InfinitesimalElement(xbar=(0.5, 0.0, 0.0))

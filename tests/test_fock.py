@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from galq import fock
 from galq.errors import ValidationError
@@ -229,6 +230,18 @@ def test_position_basis_is_hermite_gauss():
         assert np.max(np.abs(vecs.T @ vecs - np.eye(n_levels))) <= 1e-12
         x_op, _ = fock.build_xp(n_levels, 1.0)
         assert np.max(np.abs((vecs * lam) @ vecs.T - x_op.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_levels", [2, 17, 128, 512])
+def test_position_basis_matches_the_tridiagonal_solver(n_levels):
+    lam, vecs = fock.position_basis(n_levels)
+    ref_lam, ref_vecs = eigh_tridiagonal(np.zeros(n_levels),
+                                         fock.x_superdiagonal(n_levels))
+    scale = np.max(np.abs(ref_lam))
+    assert np.max(np.abs(lam - ref_lam)) <= 1e-13 * scale
+    # eigenvector signs are free; V diag(lam) V^T is not
+    x_ref = (ref_vecs * ref_lam) @ ref_vecs.T
+    assert np.max(np.abs((vecs * lam) @ vecs.T - x_ref)) <= 1e-13 * scale
 
 
 def test_position_basis_is_read_only():
