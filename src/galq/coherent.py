@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,12 +30,14 @@ from .projective import coordinates_to_amplitudes
 
 
 def _axis_vec(v, d, name):
+    """v as a float d-vector, and the list of Python floats it was checked on."""
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape != (d,):
         raise ValidationError(f"{name} must have {d} component(s), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    floats = arr.tolist()
+    if not all(map(math.isfinite, floats)):
         raise ValidationError(f"{name} has non-finite entries")
-    return arr
+    return arr, floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,16 +48,21 @@ class CoherentLabel:
     x: np.ndarray
     theta: float = 0.0
     d: int = 1
+    # (x, p) as the Python floats they were checked on, for the kernels
+    _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError("axis count d must be >= 1")
-        object.__setattr__(self, "p", _axis_vec(self.p, self.d, "p"))
-        object.__setattr__(self, "x", _axis_vec(self.x, self.d, "x"))
+        p, p_floats = _axis_vec(self.p, self.d, "p")
+        x, x_floats = _axis_vec(self.x, self.d, "x")
         theta = float(self.theta)
         if not math.isfinite(theta):
             raise ValidationError(f"theta must be finite, got {theta}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "_floats", (x_floats, p_floats))
 
     @property
     def alpha(self):
@@ -179,7 +186,7 @@ def coherent_amplitudes(label, n_levels):
 
 def _axes(l1, l2):
     """Per-axis (x1, p1, x2, p2) of two matched labels, as plain floats."""
-    return zip(l1.x.tolist(), l1.p.tolist(), l2.x.tolist(), l2.p.tolist())
+    return zip(*l1._floats, *l2._floats)
 
 
 def overlap_analytic(l1, l2, hbar=1.0):
@@ -217,12 +224,12 @@ def matrix_element_xp(l1, l2, hbar=1.0):
     for x1, p1, x2, p2 in _axes(l1, l2):
         mx.append(((x1 + x2) - 1j * (p1 - p2)) / 2.0)
         mp.append(((p1 + p2) + 1j * (x1 - x2)) / 2.0)
-    # numpy's complex product, not Python's: the two can differ in the
-    # last bit, and the published kernel tables are numpy's
-    mx, mp = np.array((mx, mp)) * ov
+    # one flat numpy complex product, not Python's: the two can differ in
+    # the last bit, and the published kernel tables are numpy's
+    out = np.array(mx + mp) * ov
     if l1.d == 1:
-        return complex(mx[0]), complex(mp[0])
-    return mx, mp
+        return tuple(out.tolist())
+    return out[:l1.d], out[l1.d:]
 
 
 @dataclass(frozen=True)

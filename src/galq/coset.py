@@ -28,12 +28,14 @@ ORTHO_TOL = 1e-9
 
 
 def _vec3(v, name):
+    """v as a float 3-vector, and the list of Python floats it was checked on."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValidationError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not all(map(math.isfinite, v.tolist())):
+    floats = v.tolist()
+    if not all(map(math.isfinite, floats)):
         raise ValidationError(f"{name} has non-finite entries")
-    return v
+    return v, floats
 
 
 def _scalar(x, name):
@@ -47,14 +49,28 @@ def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _cross3(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+def _check_rotation(rows, name):
+    """Refuse a 3x3 matrix, given as rows of Python floats, unless every
+    entry of R^T R - I and det(R) - 1 is within ORTHO_TOL."""
+    # the columns are (a, d, g), (b, e, h) and (c, f, i)
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    # written as not (err <= tol) so that NaN entries fail too; a
+    # non-finite entry makes its column's squared norm inf or NaN
+    if not (abs(a * a + d * d + g * g - 1.0) <= ORTHO_TOL
+            and abs(b * b + e * e + h * h - 1.0) <= ORTHO_TOL
+            and abs(c * c + f * f + i * i - 1.0) <= ORTHO_TOL
+            and abs(a * b + d * e + g * h) <= ORTHO_TOL
+            and abs(a * c + d * f + g * i) <= ORTHO_TOL
+            and abs(b * c + e * f + h * i) <= ORTHO_TOL):
+        raise ValidationError(f"{name} is not orthogonal within 1e-9")
+    if not abs(a * (e * i - h * f) + d * (h * c - b * i) + g * (b * f - e * c)
+               - 1.0) <= ORTHO_TOL:
+        raise ValidationError(f"{name} must have determinant +1")
 
 
 def omega_from_vector(w):
     """Antisymmetric matrix of the rotation rate w: (omega x)_i = (w cross x)_i."""
-    w = _vec3(w, "w")
+    w = _vec3(w, "w")[1]
     return np.array([[0.0, -w[2], w[1]],
                      [w[2], 0.0, -w[0]],
                      [-w[1], w[0], 0.0]])
@@ -69,24 +85,23 @@ class GalileiElement:
     V: np.ndarray = field(default_factory=lambda: np.zeros(3))
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
     A: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    # (B, V, rows of R, A) as the Python floats they were checked on
+    _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _scalar(self.B, "B"))
-        object.__setattr__(self, "V", _vec3(self.V, "V"))
-        object.__setattr__(self, "A", _vec3(self.A, "A"))
+        B = _scalar(self.B, "B")
+        V, v = _vec3(self.V, "V")
+        A, a = _vec3(self.A, "A")
         R = np.asarray(self.R, dtype=float)
         if R.shape != (3, 3):
             raise ValidationError("R must be a 3x3 matrix")
-        c0, c1, c2 = zip(*R.tolist())  # the columns
-        gram = (_dot3(c0, c0) - 1.0, _dot3(c1, c1) - 1.0, _dot3(c2, c2) - 1.0,
-                _dot3(c0, c1), _dot3(c0, c2), _dot3(c1, c2))
-        # written as not (err <= tol) so that NaN entries fail too; a
-        # non-finite entry makes its column's squared norm inf or NaN
-        if not all(abs(err) <= ORTHO_TOL for err in gram):
-            raise ValidationError("R is not orthogonal within 1e-9")
-        if not abs(_dot3(c0, _cross3(c1, c2)) - 1.0) <= ORTHO_TOL:
-            raise ValidationError("R must have determinant +1")
+        rows = R.tolist()
+        _check_rotation(rows, "R")
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "V", V)
         object.__setattr__(self, "R", R)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "_floats", (B, v, rows, a))
 
     def as_matrix(self):
         """The 5x5 affine matrix acting on the column (t, x, 1)."""
@@ -117,7 +132,7 @@ class InfinitesimalElement:
         object.__setattr__(self, "b", _scalar(self.b, "b"))
         object.__setattr__(self, "thetabar", _scalar(self.thetabar, "thetabar"))
         for name in ("v", "a", "pbar", "xbar"):
-            object.__setattr__(self, name, _vec3(getattr(self, name), name))
+            object.__setattr__(self, name, _vec3(getattr(self, name), name)[0])
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (3, 3):
             raise ValidationError("omega must be a 3x3 matrix")
@@ -132,10 +147,13 @@ class InfinitesimalElement:
 class SpaceTime:
     t: float
     x: np.ndarray
+    _x: list = field(init=False, repr=False)  # x as Python floats
 
     def __post_init__(self):
         object.__setattr__(self, "t", _scalar(self.t, "t"))
-        object.__setattr__(self, "x", _vec3(self.x, "x"))
+        x, floats = _vec3(self.x, "x")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "_x", floats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +162,7 @@ class Config:
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _vec3(self.x, "x"))
+        object.__setattr__(self, "x", _vec3(self.x, "x")[0])
         object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
 
 
@@ -155,24 +173,36 @@ class Phase:
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _vec3(self.p, "p"))
-        object.__setattr__(self, "x", _vec3(self.x, "x"))
+        object.__setattr__(self, "p", _vec3(self.p, "p")[0])
+        object.__setattr__(self, "x", _vec3(self.x, "x")[0])
         object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
 
+
+# The group law runs on the Python floats that the constructors checked:
+# on 3-vectors numpy's fixed cost per call is most of the work.  Each result
+# still goes through its validating constructor.
 
 def apply_galilei(g, pt):
     """Finite action (t, x) -> (t + B, V t + R x + A), the action of the
     5x5 matrix ``g.as_matrix()`` on the column (t, x, 1)."""
-    return SpaceTime(t=pt.t + g.B, x=g.V * pt.t + g.R @ pt.x + g.A)
+    B, V, R, A = g._floats
+    t, x = pt.t, pt._x
+    return SpaceTime(t + B,
+                     [v * t + _dot3(r, x) + a for v, r, a in zip(V, R, A)])
 
 
 def compose(g1, g2):
-    """Group product; parameters read off the 5x5 matrix product."""
+    """Group product; parameters read off the 5x5 matrix product.
+
+    R1 R2 stays one numpy product: the constructor converts a nested list
+    to an array at more cost than the nine Python dot products save."""
+    B1, V1, R1, A1 = g1._floats
+    B2, V2, _, A2 = g2._floats
     return GalileiElement(
-        B=g1.B + g2.B,
-        V=g1.V + g1.R @ g2.V,
+        B=B1 + B2,
+        V=[v + _dot3(r, V2) for v, r in zip(V1, R1)],
         R=g1.R @ g2.R,
-        A=g1.V * g2.B + g1.R @ g2.A + g1.A,
+        A=[v * B2 + _dot3(r, A2) + a for v, r, a in zip(V1, R1, A1)],
     )
 
 
@@ -197,6 +227,13 @@ def _split(pt, c):
     if isinstance(pt, Config):
         return c[0:3], c[3]
     return c[0:3], c[3:6], c[6]
+
+
+def _rotation_rows(pt):
+    """First row of each 3x3 block of pt's generator that holds omega."""
+    if isinstance(pt, SpaceTime):
+        return (1,)
+    return (0, 3) if isinstance(pt, Phase) else (0,)
 
 
 def _generator(e, pt, hbar=1.0):
@@ -244,10 +281,21 @@ def expm(a):
     Paterson-Stockmeyer, as a Horner scheme in a^4 whose coefficients are
     combinations of I, a, a^2 and a^3, in 6 matrix products, and is then
     squared s times.
+
+    The norm is taken of a scaled by a power of two that brings its largest
+    entry below 1, so it cannot overflow, and gives the same s as the
+    unscaled norm wherever that is finite.  A matrix with a non-finite
+    entry, or whose exponential overflows in the squarings, is refused
+    with ValidationError, with no numpy warning.
     """
     a = np.asarray(a, dtype=float)
     n = len(a)
-    s = max(0, math.frexp(math.sqrt(float(np.vdot(a, a))))[1] + 1)
+    big = float(np.max(np.abs(a)))
+    if not big < math.inf:
+        raise ValidationError("expm: matrix has non-finite entries")
+    e = math.frexp(big)[1]
+    unit = np.ldexp(a, -e)
+    s = max(0, math.frexp(math.sqrt(float(np.vdot(unit, unit))))[1] + e + 1)
     powers = np.empty((3, n, n))
     np.multiply(a, 2.0 ** -s, out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
@@ -259,8 +307,12 @@ def expm(a):
     out = blocks[3] + _TAYLOR[16] * a4
     for block in blocks[2::-1]:
         out = out @ a4 + block
-    for _ in range(s):
-        out = out @ out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise ValidationError(f"expm: the exponential of a matrix with "
+                              f"entries up to {big:.3e} overflows")
     return out
 
 
@@ -268,9 +320,18 @@ def exp_action(e, pt, t=1.0):
     """Finite action exp(t * generator) on the column (coordinates(pt), 1),
     by :func:`expm`.  For pure translations the generator is nilpotent, so
     the exponential terminates and theta picks up the Heisenberg-Weyl
-    cocycle exactly."""
+    cocycle exactly.
+
+    Each 3x3 rotation block of exp(t G) must pass the rotation check of
+    GalileiElement: squaring a fast rotation loses it to roundoff (at
+    |omega| t ~ 1e19 it squares to zero), and such an action is refused
+    with ValidationError."""
     col = np.append(coordinates(pt), 1.0)
-    return type(pt)(*_split(pt, expm(t * _generator(e, pt)) @ col))
+    m = expm(t * _generator(e, pt))
+    for i in _rotation_rows(pt):
+        _check_rotation(m[i:i + 3, i:i + 3].tolist(),
+                        "the rotation block of exp(t G)")
+    return type(pt)(*_split(pt, m @ col))
 
 
 exp_phase_action = exp_action  # perfbench/workloads.py calls this name

@@ -120,6 +120,13 @@ class EvolutionSpec:
         return self.t_final / self.n_steps if self.n_steps else self.dt
 
 
+def _expectations(states, op):
+    """<s_t|op|s_t> for each row s_t of states, as one matrix product and
+    a row-wise dot; an einsum over all three operands would run an
+    unoptimized t*i*j loop."""
+    return np.einsum("ti,ti->t", states.conj(), states @ op.matrix.T)
+
+
 @dataclass(frozen=True, eq=False)
 class StateTrajectory:
     times: np.ndarray
@@ -129,8 +136,7 @@ class StateTrajectory:
         return np.linalg.norm(self.states, axis=1)
 
     def expectation_series(self, op):
-        out = np.einsum("ti,ij,tj->t", self.states.conj(), op.matrix,
-                        self.states)
+        out = _expectations(self.states, op)
         return out.real if op.is_hermitian(1e-10) else out
 
 
@@ -141,8 +147,7 @@ class CoordinateTrajectory:
     p: np.ndarray
 
     def energy_series(self, op):
-        c = coordinates_to_amplitudes(self.q, self.p)
-        return np.einsum("ti,ij,tj->t", c.conj(), op.matrix, c).real
+        return _expectations(coordinates_to_amplitudes(self.q, self.p), op).real
 
 
 def hamiltonian_function(q, p, h_op):

@@ -3,12 +3,13 @@ oracles, independent of the banded propagator in galq.contraction and of
 the closed forms in galq.coherent and unitary to roundoff by construction,
 the reference Hamiltonians as products of the X and P matrices, independent
 of the closed-form bands of galq.fock, the array-based RK4 of the quartic
-classical reference, plus number states and variances on the truncated Fock
-space."""
+classical reference, the numpy forms of the Galilei group law and of the
+X/P matrix-element kernel, plus number states and variances on the
+truncated Fock space."""
 
 import numpy as np
 
-from galq import fock
+from galq import coherent, coset, fock
 from galq.errors import ValidationError
 from galq.projective import StateTrajectory
 
@@ -96,3 +97,36 @@ def classical_flow_rk4(x0, p0, times, lam, substeps=50):
             y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         xs[i], ps[i] = y
     return xs, ps
+
+
+def apply_galilei(g, pt):
+    """(t, x) -> (t + B, V t + R x + A) on the element's numpy arrays: the
+    form that galq.coset.apply_galilei computes on Python floats."""
+    return coset.SpaceTime(t=pt.t + g.B, x=g.V * pt.t + g.R @ pt.x + g.A)
+
+
+def compose(g1, g2):
+    """The group product on the elements' numpy arrays, read off the 5x5
+    matrix product: the form that galq.coset.compose computes on floats."""
+    return coset.GalileiElement(
+        B=g1.B + g2.B,
+        V=g1.V + g1.R @ g2.V,
+        R=g1.R @ g2.R,
+        A=g1.V * g2.B + g1.R @ g2.A + g1.A,
+    )
+
+
+def matrix_element_xp(l1, l2, hbar=1.0):
+    """<l1|X|l2> and <l1|P|l2> with the per-axis factors multiplied by the
+    overlap as one (2, d) numpy array: the kernel tables that
+    galq.coherent.matrix_element_xp must reproduce bit for bit."""
+    ov = coherent.overlap_analytic(l1, l2, hbar)
+    mx, mp = [], []
+    for x1, p1, x2, p2 in zip(l1.x.tolist(), l1.p.tolist(),
+                              l2.x.tolist(), l2.p.tolist()):
+        mx.append(((x1 + x2) - 1j * (p1 - p2)) / 2.0)
+        mp.append(((p1 + p2) + 1j * (x1 - x2)) / 2.0)
+    mx, mp = np.array((mx, mp)) * ov
+    if l1.d == 1:
+        return complex(mx[0]), complex(mp[0])
+    return mx, mp

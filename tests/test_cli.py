@@ -127,6 +127,30 @@ def test_coset_orbit_bad_name_exits_1(tmp_path):
                 "--outdir", str(tmp_path)]) == 1
 
 
+NOT_A_ROTATION = "the rotation block of exp(t G) is not orthogonal within 1e-9"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--coset", "spacetime", "--rot", "1e160,0,0"],
+     "R is not orthogonal within 1e-9"),
+    (["--coset", "phase", "--omega", "1e160,0,0"], NOT_A_ROTATION),
+    (["--coset", "config", "--omega", "1e20,0,0", "--point", "0,1,0,0"],
+     NOT_A_ROTATION),
+    # once wrote rows of zeros after step 0 and reported PASS
+    (["--coset", "phase", "--omega", "1e20,0,0", "--point", "0,1,0,0,0,1,0",
+      "--steps", "3"], NOT_A_ROTATION),
+], ids=["spacetime-rot-1e160", "phase-omega-1e160", "config-omega-1e20",
+        "phase-omega-1e20"])
+def test_coset_orbit_lost_rotation_exits_1_writing_nothing(tmp_path, capsys,
+                                                           args, message):
+    # a numpy RuntimeWarning would raise here (filterwarnings = error)
+    assert run(["coset", "orbit", *args, "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"galq: error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coherent_overlap_outputs(tmp_path):
     assert run(["coherent", "overlap", "--n-levels", "96", "--grid-points",
                 "5", "--outdir", str(tmp_path)]) == 0

@@ -9,6 +9,7 @@ from scipy.special import gammaincinv, gammaln
 
 from galq import coherent, fock
 from galq.errors import PrecisionError, ValidationError
+import oracles
 from oracles import basis_state, expi_hermitian, variance
 
 
@@ -293,6 +294,26 @@ def test_matrix_elements_match_brute_force():
         mx, mp = coherent.matrix_element_xp(l1, l2, 1.0)
         worst = max(worst, abs(mx - bx), abs(mp - bp))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_matrix_element_xp_is_bitwise_the_numpy_form(d):
+    # 5000 pairs per d, 1250 per hbar; l2 sits O(sqrt(hbar)) from l1, so
+    # the overlap factor is O(1) and every product is a nontrivial one
+    rng = np.random.default_rng(40 + d)
+    got, want = [], []
+    for hbar in (1e-3, 0.1, 1.0, 7.5):
+        for _ in range(1250):
+            p1, x1 = rng.uniform(-5.0, 5.0, (2, d))
+            p2, x2 = (p1, x1) + math.sqrt(hbar) * rng.normal(size=(2, d))
+            l1 = coherent.CoherentLabel(p1, x1, rng.uniform(-3.0, 3.0), d)
+            l2 = coherent.CoherentLabel(p2, x2, rng.uniform(-3.0, 3.0), d)
+            got.append(np.ravel(coherent.matrix_element_xp(l1, l2, hbar)))
+            want.append(np.ravel(oracles.matrix_element_xp(l1, l2, hbar)))
+    got, want = np.array(got), np.array(want)
+    assert got.shape == (5000, 2 * d)
+    assert np.count_nonzero(got) == got.size
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _labels(d):

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from galq import coherent, coset
 from galq.algebra import ContractionParams
 from galq.errors import ValidationError
+import oracles
 
 K1 = ContractionParams(k=1.0)  # the uncontracted action
 
@@ -125,6 +126,77 @@ def test_apply_galilei_is_the_affine_matrix_action(g, t, x):
     out = coset.apply_galilei(g, coset.SpaceTime(t, x))
     want = g.as_matrix() @ np.array([t, *x, 1.0])
     np.testing.assert_allclose(as_tuple(out), want[:4], rtol=0, atol=1e-12)
+
+
+def test_float_group_law_matches_the_affine_matrix_product():
+    # entries up to ~130: the measured worst gap, 2.8e-14 against both the
+    # 5x5 matrix products and the numpy forms, is one ulp at 64..128
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(2000):
+        g1, g2 = random_element(rng), random_element(rng)
+        pt = random_point(rng)
+        moved = as_tuple(coset.apply_galilei(g1, pt))
+        product = coset.compose(g1, g2).as_matrix()
+        col = np.array([pt.t, *pt.x, 1.0])
+        for out, ref in (
+                (moved, (g1.as_matrix() @ col)[:4]),
+                (moved, as_tuple(oracles.apply_galilei(g1, pt))),
+                (product, g1.as_matrix() @ g2.as_matrix()),
+                (product, oracles.compose(g1, g2).as_matrix())):
+            worst = max(worst, float(np.max(np.abs(out - ref))))
+    assert worst <= 6e-14
+
+
+def test_compose_checks_the_product_rotation():
+    # each factor's R^T R - I is 9.0e-10, within ORTHO_TOL; the product's is
+    # 1.8e-9, so composing must still refuse it
+    g = coset.GalileiElement(R=np.diag([1.0 + 0.45e-9, 1.0, 1.0]))
+    with pytest.raises(ValidationError) as err:
+        coset.compose(g, g)
+    assert str(err.value) == "R is not orthogonal within 1e-9"
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.diag([0.0, np.inf]), "expm: matrix has non-finite entries"),
+    (np.diag([np.nan, 0.0]), "expm: matrix has non-finite entries"),
+    (np.array([[0.0, 1e300], [1e300, 0.0]]),
+     "expm: the exponential of a matrix with entries up to 1.000e+300 "
+     "overflows"),
+    (np.diag([800.0, 0.0]),
+     "expm: the exponential of a matrix with entries up to 8.000e+02 "
+     "overflows"),
+], ids=["inf", "nan", "cosh-1e300", "exp-800"])
+def test_expm_refuses_a_non_finite_exponential(a, message):
+    with pytest.raises(ValidationError) as err:
+        coset.expm(a)
+    assert str(err.value) == message
+
+
+def test_expm_norm_does_not_overflow():
+    # entries of 1e200 square to inf; the norm of the power-of-two-scaled
+    # matrix still gives s ~ 666, so a / 2**s is small and the squarings
+    # take exp(-1e200) to 0 (with s = 1 the Taylor powers overflowed)
+    np.testing.assert_array_equal(coset.expm(np.diag([-1e200, 0.0])),
+                                  [[0.0, 0.0], [0.0, 1.0]])
+    nilpotent = np.array([[0.0, 1e200], [0.0, 0.0]])
+    np.testing.assert_array_equal(coset.expm(nilpotent),
+                                  [[1.0, 1e200], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("pt", [
+    coset.Phase((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    coset.Config((0.0, 1.0, 0.0)),
+    coset.SpaceTime(0.0, (0.0, 1.0, 0.0)),
+], ids=["phase", "config", "spacetime"])
+def test_exp_action_refuses_a_rotation_lost_to_roundoff(pt):
+    # about 65 squarings of a rotation by 1e19 / 2**65 rad leave no rotation
+    e = coset.InfinitesimalElement(
+        omega=coset.omega_from_vector((1e20, 0.0, 0.0)))
+    with pytest.raises(ValidationError) as err:
+        coset.exp_action(e, pt, t=0.1)
+    assert str(err.value) == \
+        "the rotation block of exp(t G) is not orthogonal within 1e-9"
 
 
 def test_infinitesimal_spacetime_examples():
