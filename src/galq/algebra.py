@@ -25,7 +25,6 @@ and fails on a nonzero entry with m > 0.
 from __future__ import annotations
 
 import cmath
-import math
 import re
 from dataclasses import dataclass
 
@@ -136,12 +135,6 @@ class ContractionParams:
     @property
     def hbar(self):
         return 1.0 / (self.k * self.k)
-
-    @classmethod
-    def from_hbar(cls, hbar, scaled=()):
-        if not 0 < hbar <= 1:
-            raise ValidationError(f"hbar must be in (0, 1], got {hbar}")
-        return cls(k=1.0 / math.sqrt(hbar), scaled=scaled)
 
 
 def default_scaled_set(tbl):

@@ -378,10 +378,11 @@ def run_coset_orbit(cfg):
         raise ValidationError("steps must be >= 1 and dt positive")
     if kind == "spacetime":
         rot = _vec(cfg["rot"], "rot")
-        g = coset.GalileiElement(B=cfg["b"] * dt, V=_vec(cfg["v"], "v") * dt,
-                                 R=coset.expm(
-                                     coset.omega_from_vector(rot * dt)),
-                                 A=_vec(cfg["a"], "a") * dt)
+        with np.errstate(over="ignore"):  # the element refuses an inf
+            g = coset.GalileiElement(
+                B=cfg["b"] * dt, V=_vec(cfg["v"], "v") * dt,
+                R=coset.expm(coset.omega_from_vector(rot * dt)),
+                A=_vec(cfg["a"], "a") * dt)
         pt_vals = _vec(cfg["point"] or "0,0,0,0", "spacetime point t,x1,x2,x3", 4)
         pt = coset.SpaceTime(pt_vals[0], pt_vals[1:])
         names = ["t", "x1", "x2", "x3"]

@@ -22,22 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coset import _vec
 from .errors import PrecisionError, ValidationError
-from .fock import (TAIL_TOL, FockOperator, StateVector, poisson_tail,
-                   position_basis)
+from .fock import (TAIL_TOL, FockOperator, StateVector, _check_levels,
+                   poisson_tail, position_basis)
 from .fock import build_xp  # noqa: F401  (kept in this namespace for callers)
 from .projective import coordinates_to_amplitudes
-
-
-def _axis_vec(v, d, name):
-    """v as a float d-vector, and the list of Python floats it was checked on."""
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.shape != (d,):
-        raise ValidationError(f"{name} must have {d} component(s), got shape {arr.shape}")
-    floats = arr.tolist()
-    if not all(map(math.isfinite, floats)):
-        raise ValidationError(f"{name} has non-finite entries")
-    return arr, floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +44,8 @@ class CoherentLabel:
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError("axis count d must be >= 1")
-        p, p_floats = _axis_vec(self.p, self.d, "p")
-        x, x_floats = _axis_vec(self.x, self.d, "x")
+        p, p_floats = _vec(self.p, self.d, "p")
+        x, x_floats = _vec(self.x, self.d, "x")
         theta = float(self.theta)
         if not math.isfinite(theta):
             raise ValidationError(f"theta must be finite, got {theta}")
@@ -87,17 +77,10 @@ def weyl_phase(l1, l2):
     return 0.5 * float(l1.p @ l2.x - l1.x @ l2.p)
 
 
-def label_sum(l1, l2):
-    """Additive part of the Heisenberg-Weyl product of two labels."""
-    _check_matched(l1, l2)
-    return CoherentLabel(l1.p + l2.p, l1.x + l2.x, l1.theta + l2.theta, l1.d)
-
-
 def _check_axis(label, n_levels):
     if label.d != 1:
         raise ValidationError("displacement operators are built per axis (d=1)")
-    if n_levels < 2:
-        raise ValidationError("need at least 2 levels")
+    _check_levels(n_levels)
 
 
 def _displaced_columns(label, n_levels, n_cols):
@@ -232,11 +215,15 @@ def matrix_element_xp(l1, l2, hbar=1.0):
     return out[:l1.d], out[l1.d:]
 
 
+# The residual holds the amplitudes of its whole label grid at once and
+# peaks at 48 (n_check + 1) bytes per label (tracemalloc, 5e4 to 6e5 labels
+# on 1 to 64 levels); a grid needing more is refused before it is built.
+RESIDUAL_BYTES = 2**30
+
+
 @dataclass(frozen=True)
 class OvercompletenessResult:
     residual: float
-    n_check: int
-    n_labels: int
     s_block: np.ndarray
     warning: str | None = None
 
@@ -247,21 +234,29 @@ def overcompleteness_residual(n_levels, radius, step, n_check=16):
     Accumulates S = (step^2 / 2 pi) sum |l><l| over the label grid
     p, x in [-radius, radius] and returns the max-norm deviation of S from
     the identity on the first n_check levels.  The deviation shrinks as the
-    domain grows and the mesh refines.
+    domain grows and the mesh refines.  A grid whose sum would need more
+    than RESIDUAL_BYTES raises ValidationError.
     """
     if not (0 < radius < math.inf and 0 < step < math.inf):
         raise ValidationError("radius and step must be positive")
     if not 1 <= n_check <= n_levels:
         raise ValidationError("need 1 <= n_check <= n_levels")
+    m = 2.0 * radius / step  # inf, with no exception, past the float range
+    nbytes = 48.0 * (n_check + 1) * (m + 1.0) * (m + 1.0)
+    if not nbytes <= RESIDUAL_BYTES:
+        raise ValidationError(
+            f"residual grid of radius {radius:g} and step {step:g} needs "
+            f"~{nbytes / 2**30:.3g} GiB on {n_check} levels, over the "
+            f"{RESIDUAL_BYTES / 2**30:.0f} GiB limit")
     warning = None
     if step > 1.0:
         warning = f"grid step {step} > 1 is too coarse for a meaningful sum"
-    m = int(round(2.0 * radius / step))
+    m = int(round(m))
     pts = -radius + step * np.arange(m + 1)
     pp, xx = np.meshgrid(pts, pts, indexing="ij")
     alpha = coordinates_to_amplitudes(xx.ravel(), pp.ravel())
     amps = _log_space_amplitudes(alpha, n_check)
     s_block = (step * step / (2.0 * math.pi)) * (amps.T @ amps.conj())
     residual = float(np.max(np.abs(s_block - np.eye(n_check))))
-    return OvercompletenessResult(residual, n_check, alpha.size, s_block, warning)
+    return OvercompletenessResult(residual, s_block, warning)
 

@@ -70,8 +70,7 @@ EIGENBASIS_BYTES = 2**30
 def unscaled_label(label, hbar):
     """Internal (hbar = 1) label (p/sqrt(hbar), x/sqrt(hbar)) of the state
     carrying the given tilde label (p, x)."""
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
+    fock._check_hbar(hbar)
     s = math.sqrt(hbar)
     return CoherentLabel(label.p / s, label.x / s, label.theta, label.d)
 
@@ -103,13 +102,19 @@ def fock_overlap_series(l1, l2, hbar, n_levels):
     return complex(np.vdot(a1.amplitudes, a2.amplitudes))
 
 
+def _hbar_grid(hbar_grid):
+    """hbar_grid as a nonempty tuple of floats, each in (0, inf)."""
+    grid = tuple(float(h) for h in hbar_grid)
+    if not grid or any(not (0 < h < math.inf) for h in grid):
+        raise ValidationError("hbar grid must be positive")
+    return grid
+
+
 class SweepSpec:
     """Overlap-decay sweep: descending hbar grid and tilde label pairs."""
 
     def __init__(self, hbar_grid, label_pairs):
-        grid = tuple(float(h) for h in hbar_grid)
-        if not grid or any(not (0 < h < math.inf) for h in grid):
-            raise ValidationError("hbar grid must be positive")
+        grid = _hbar_grid(hbar_grid)
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("hbar grid must be strictly descending")
         pairs = tuple((l1, l2) for l1, l2 in label_pairs)
@@ -243,6 +248,19 @@ def _fit_log_decay(hbar, absov):
 
 # --- classical trajectory emergence ---------------------------------------
 
+def _phase_step(energies, times, coeff):
+    """e^{-i E t} coeff, (len(E), len(times)), for a column coeff; an E t
+    that is not a finite float raises PrecisionError."""
+    e = float(np.max(np.abs(energies), initial=0.0))
+    t = float(np.max(np.abs(times), initial=0.0))
+    if not e * t < math.inf:  # the largest |E t|, inf in Python floats
+        raise PrecisionError(
+            f"the phase E t is not finite: |E| up to {e:g} at |t| up to {t:g}")
+    a = np.exp(np.multiply.outer(energies, times) * -1j)
+    a *= coeff
+    return a
+
+
 def eigen_propagate(bands, psi0, times):
     """exp(-i H t) psi0 at each t in times, stacked as rows (len(times), N).
 
@@ -257,8 +275,9 @@ def eigen_propagate(bands, psi0, times):
     copied to complex.  A block whose bands 1 and 2 are all zero
     (harmonic) is its own eigenbasis, W = I, at any N; a banded block whose
     eigenbasis would exceed EIGENBASIS_BYTES raises PrecisionError before
-    anything is allocated.  Bands of another shape than (3, N), not finite,
-    or nonzero past the matrix edge raise ValidationError.
+    anything is allocated, and so does a time whose phase E t is not a
+    finite float.  Bands of another shape than (3, N), not finite, or
+    nonzero past the matrix edge raise ValidationError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
@@ -285,9 +304,8 @@ def eigen_propagate(bands, psi0, times):
     for parity, width in enumerate(widths):
         block = bands[:width + 1, parity::2]
         if width == 0:
-            a = np.exp(np.multiply.outer(block[0], times) * -1j)
-            a *= psi0[parity::2, None]
-            states[:, parity::2] = a.T
+            states[:, parity::2] = _phase_step(block[0], times,
+                                               psi0[parity::2, None]).T
             continue
         # galq's one scipy call, imported here so that only banded runs
         # load scipy.linalg.  np.linalg.eigh of the dense block is 1.35-1.46x
@@ -298,8 +316,7 @@ def eigen_propagate(bands, psi0, times):
         from scipy.linalg import eig_banded
         w, v = eig_banded(block, lower=True, check_finite=False)
         pairs = np.ascontiguousarray(psi0[parity::2]).view(float).reshape(-1, 2)
-        a = np.exp(np.multiply.outer(w, times) * -1j)
-        a *= (v.T @ pairs).view(complex)  # W^T psi0 as a column
+        a = _phase_step(w, times, (v.T @ pairs).view(complex))  # W^T psi0
         states[:, parity::2] = (v @ a.view(float)).view(complex).T
         del w, v, a  # one block's eigenvectors are alive at a time
     return states
@@ -360,11 +377,6 @@ class EmergenceReport:
     from the classical flow, in tilde (classical) units, with the verified
     Fock cutoff of each hbar and the edge mass reached on it."""
 
-    kind: str
-    lam: float
-    x0: float
-    p0: float
-    t_final: float
     hbar: np.ndarray
     max_deviation: np.ndarray
     n_levels: np.ndarray
@@ -372,8 +384,6 @@ class EmergenceReport:
     times: np.ndarray
     quantum_x: np.ndarray  # (n_hbar, n_times), tilde units
     quantum_p: np.ndarray
-    classical_x: np.ndarray  # (n_times,)
-    classical_p: np.ndarray
 
 
 def _center_trajectory(tilde, hbar, n_levels, kind, lam, times):
@@ -421,9 +431,7 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     """
     if kind not in ("harmonic", "quartic"):
         raise ValidationError("emergence supports harmonic and quartic kinds")
-    hbar_grid = tuple(float(h) for h in hbar_grid)
-    if not hbar_grid or any(not (0 < h < math.inf) for h in hbar_grid):
-        raise ValidationError("hbar grid must be positive")
+    hbar_grid = _hbar_grid(hbar_grid)
     if not (0 <= t_final < math.inf):
         raise ValidationError("t_final must be >= 0")
     if n_samples < 2:
@@ -459,7 +467,6 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
         ns[i] = n
         devs[i] = max(float(np.max(np.abs(qx[i] - cx))),
                       float(np.max(np.abs(qp[i] - cp))))
-    return EmergenceReport(kind, lam, float(x0), float(p0), float(t_final),
-                           np.asarray(hbar_grid), devs, ns, edges, times, qx,
-                           qp, cx, cp)
+    return EmergenceReport(np.asarray(hbar_grid), devs, ns, edges, times, qx,
+                           qp)
 

@@ -27,11 +27,15 @@ from .errors import ValidationError
 ORTHO_TOL = 1e-9
 
 
-def _vec3(v, name):
-    """v as a float 3-vector, and the list of Python floats it was checked on."""
+def _vec(v, d, name):
+    """v as a float d-vector, and the list of Python floats it was checked
+    on.  A scalar is read as a 1-vector when d = 1."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValidationError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if v.shape != (d,):
+        if d != 1 or v.shape != ():
+            raise ValidationError(
+                f"{name} must have {d} component(s), got shape {v.shape}")
+        v = v.reshape(1)
     floats = v.tolist()
     if not all(map(math.isfinite, floats)):
         raise ValidationError(f"{name} has non-finite entries")
@@ -70,7 +74,7 @@ def _check_rotation(rows, name):
 
 def omega_from_vector(w):
     """Antisymmetric matrix of the rotation rate w: (omega x)_i = (w cross x)_i."""
-    w = _vec3(w, "w")[1]
+    w = _vec(w, 3, "w")[1]
     return np.array([[0.0, -w[2], w[1]],
                      [w[2], 0.0, -w[0]],
                      [-w[1], w[0], 0.0]])
@@ -90,8 +94,8 @@ class GalileiElement:
 
     def __post_init__(self):
         B = _scalar(self.B, "B")
-        V, v = _vec3(self.V, "V")
-        A, a = _vec3(self.A, "A")
+        V, v = _vec(self.V, 3, "V")
+        A, a = _vec(self.A, 3, "A")
         R = np.asarray(self.R, dtype=float)
         if R.shape != (3, 3):
             raise ValidationError("R must be a 3x3 matrix")
@@ -132,7 +136,8 @@ class InfinitesimalElement:
         object.__setattr__(self, "b", _scalar(self.b, "b"))
         object.__setattr__(self, "thetabar", _scalar(self.thetabar, "thetabar"))
         for name in ("v", "a", "pbar", "xbar"):
-            object.__setattr__(self, name, _vec3(getattr(self, name), name)[0])
+            object.__setattr__(self, name,
+                               _vec(getattr(self, name), 3, name)[0])
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (3, 3):
             raise ValidationError("omega must be a 3x3 matrix")
@@ -151,7 +156,7 @@ class SpaceTime:
 
     def __post_init__(self):
         object.__setattr__(self, "t", _scalar(self.t, "t"))
-        x, floats = _vec3(self.x, "x")
+        x, floats = _vec(self.x, 3, "x")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "_x", floats)
 
@@ -162,7 +167,7 @@ class Config:
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _vec3(self.x, "x")[0])
+        object.__setattr__(self, "x", _vec(self.x, 3, "x")[0])
         object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
 
 
@@ -173,8 +178,8 @@ class Phase:
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _vec3(self.p, "p")[0])
-        object.__setattr__(self, "x", _vec3(self.x, "x")[0])
+        object.__setattr__(self, "p", _vec(self.p, 3, "p")[0])
+        object.__setattr__(self, "x", _vec(self.x, 3, "x")[0])
         object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
 
 
@@ -325,13 +330,17 @@ def exp_action(e, pt, t=1.0):
     Each 3x3 rotation block of exp(t G) must pass the rotation check of
     GalileiElement: squaring a fast rotation loses it to roundoff (at
     |omega| t ~ 1e19 it squares to zero), and such an action is refused
-    with ValidationError."""
+    with ValidationError.  So is an action past the float range: t G or
+    the new point overflows, and expm or the point's constructor refuses
+    the entries that are not finite."""
     col = np.append(coordinates(pt), 1.0)
-    m = expm(t * _generator(e, pt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = expm(t * _generator(e, pt))
+        col = m @ col
     for i in _rotation_rows(pt):
         _check_rotation(m[i:i + 3, i:i + 3].tolist(),
                         "the rotation block of exp(t G)")
-    return type(pt)(*_split(pt, m @ col))
+    return type(pt)(*_split(pt, col))
 
 
 exp_phase_action = exp_action  # perfbench/workloads.py calls this name

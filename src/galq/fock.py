@@ -23,7 +23,15 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 
-HERMITIAN_TOL = 1e-12
+
+def _check_levels(n_levels):
+    if n_levels < 2:
+        raise ValidationError("need at least 2 levels")
+
+
+def _check_hbar(hbar):
+    if not (0 < hbar < math.inf):
+        raise ValidationError("hbar must be positive")
 
 
 def _freeze(m):
@@ -47,11 +55,10 @@ class FockOperator:
         if m.shape != (self.n_levels, self.n_levels):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match n_levels={self.n_levels}")
-        if not (0 < self.hbar < math.inf):
-            raise ValidationError("hbar must be positive")
+        _check_hbar(self.hbar)
         object.__setattr__(self, "matrix", _freeze(m))
 
-    def is_hermitian(self, tol=HERMITIAN_TOL):
+    def is_hermitian(self, tol):
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
 
 
@@ -202,19 +209,9 @@ def x_superdiagonal(n_levels, hbar=1.0):
     """X[n - 1, n] = sqrt(hbar n / 2) for n = 1 .. N-1: the one band of the
     truncated position operator X = sqrt(hbar/2)(a + a+), the Jacobi
     matrix of the Hermite polynomials."""
-    if n_levels < 2:
-        raise ValidationError("need at least 2 levels")
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
+    _check_levels(n_levels)
+    _check_hbar(hbar)
     return math.sqrt(hbar / 2.0) * np.sqrt(np.arange(1.0, n_levels))
-
-
-def ladder_matrix(n_levels):
-    """Annihilation operator a as a dense matrix: sqrt(n) on the
-    superdiagonal."""
-    if n_levels < 2:
-        raise ValidationError("need at least 2 levels")
-    return np.diag(np.sqrt(np.arange(1.0, n_levels)), 1)
 
 
 def build_xp(n_levels, hbar=1.0):
@@ -270,8 +267,7 @@ def hamiltonian_bands(kind, n_levels, lam=0.1):
             f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
     if kind == "quartic" and not (0 <= lam < math.inf):
         raise ValidationError("quartic coupling lam must be >= 0")
-    if n_levels < 2:
-        raise ValidationError("need at least 2 levels")
+    _check_levels(n_levels)
     n = np.arange(n_levels, dtype=float)
     d = n + 0.5
     d[-1] = n[-1] / 2.0
@@ -313,8 +309,7 @@ def build_hamiltonian(kind, n_levels, hbar=1.0, lam=0.1):
     """Dense reference Hamiltonian hbar H(lam hbar), assembled from the
     :func:`hamiltonian_bands` of the hbar = 1 operator with the effective
     coupling lam * hbar (X and P scale as sqrt(hbar))."""
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
+    _check_hbar(hbar)
     bands = hamiltonian_bands(kind, n_levels, lam * hbar)
     h = np.zeros((n_levels, n_levels))
     for k, band in enumerate(bands):

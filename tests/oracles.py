@@ -4,7 +4,8 @@ the closed forms in galq.coherent and unitary to roundoff by construction,
 the reference Hamiltonians as products of the X and P matrices, independent
 of the closed-form bands of galq.fock, the array-based RK4 of the quartic
 classical reference, the numpy forms of the Galilei group law and of the
-X/P matrix-element kernel, plus number states and variances on the
+X/P matrix-element kernel, the dense ladder matrix and the additive part
+of the Heisenberg-Weyl label product, plus number states and variances on the
 truncated Fock space."""
 
 import numpy as np
@@ -14,10 +15,18 @@ from galq.errors import ValidationError
 from galq.projective import StateTrajectory
 
 
+def ladder_matrix(n_levels):
+    """Annihilation operator a as a dense matrix: sqrt(n) on the
+    superdiagonal."""
+    if n_levels < 2:
+        raise ValidationError("need at least 2 levels")
+    return np.diag(np.sqrt(np.arange(1.0, n_levels)), 1)
+
+
 def xp_matrices(n_levels, hbar=1.0):
     """Dense X = sqrt(hbar/2)(a + a+), P = i sqrt(hbar/2)(a+ - a) from the
     ladder matrix a, which is real, so a+ is its transpose."""
-    a = fock.ladder_matrix(n_levels)
+    a = ladder_matrix(n_levels)
     s = np.sqrt(hbar / 2.0)
     return s * (a + a.T), 1j * s * (a.T - a)
 
@@ -114,6 +123,12 @@ def compose(g1, g2):
         R=g1.R @ g2.R,
         A=g1.V * g2.B + g1.R @ g2.A + g1.A,
     )
+
+
+def label_sum(l1, l2):
+    """Additive part of the Heisenberg-Weyl product of two labels."""
+    return coherent.CoherentLabel(l1.p + l2.p, l1.x + l2.x,
+                                  l1.theta + l2.theta, l1.d)
 
 
 def matrix_element_xp(l1, l2, hbar=1.0):

@@ -201,9 +201,8 @@ def test_contraction_params_validation():
     for k in (math.inf, 1e200):  # 1/k**2 is 0, no contraction scale
         with pytest.raises(ValidationError):
             algebra.ContractionParams(k=k)
-    params = algebra.ContractionParams.from_hbar(0.01)
-    assert params.k == pytest.approx(10.0)
-    assert params.hbar == pytest.approx(0.01, abs=1e-15)
+    assert algebra.ContractionParams(k=10.0).hbar == pytest.approx(0.01,
+                                                                  abs=1e-15)
 
 
 def test_random_rescalings_keep_jacobi():

@@ -139,8 +139,16 @@ NOT_A_ROTATION = "the rotation block of exp(t G) is not orthogonal within 1e-9"
     # once wrote rows of zeros after step 0 and reported PASS
     (["--coset", "phase", "--omega", "1e20,0,0", "--point", "0,1,0,0,0,1,0",
       "--steps", "3"], NOT_A_ROTATION),
+    # v dt, the new point and t G overflow to inf
+    (["--coset", "spacetime", "--v", "1e308,0,0", "--dt", "10"],
+     "V has non-finite entries"),
+    (["--coset", "config", "--xbar", "1e308,0,0", "--point", "1e308,0,0,0"],
+     "x has non-finite entries"),
+    (["--coset", "phase", "--omega", "1e10,0,0", "--dt", "1e300"],
+     "expm: matrix has non-finite entries"),
 ], ids=["spacetime-rot-1e160", "phase-omega-1e160", "config-omega-1e20",
-        "phase-omega-1e20"])
+        "phase-omega-1e20", "spacetime-v-1e308", "config-point-1e308",
+        "phase-omega-dt-1e310"])
 def test_coset_orbit_lost_rotation_exits_1_writing_nothing(tmp_path, capsys,
                                                            args, message):
     # a numpy RuntimeWarning would raise here (filterwarnings = error)
@@ -390,6 +398,26 @@ def test_coherent_overlap_residual_scan_warning(tmp_path):
     assert [ln.count(",") for ln in lines if not ln.startswith("#")] == [2] * 3
 
 
+@pytest.mark.parametrize("radius, step, gib", [
+    ("4", "1e-300", "inf"),
+    ("1e308", "1e-10", "inf"),  # 2 radius / step is past the float range
+    ("9", "1e-3", "246"),
+], ids=["step-1e-300", "radius-1e308", "radius-9-step-1e-3"])
+def test_coherent_overlap_residual_scan_over_the_memory_limit_exits_1(
+        tmp_path, capsys, monkeypatch, radius, step, gib):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the label grid was built")
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    assert run(["coherent", "overlap", "--grid-points", "1",
+                "--residual-scan", radius, "--residual-step", step,
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"galq: error: residual grid of radius {float(radius):g} and step "
+        f"{float(step):g} needs ~{gib} GiB on 16 levels, over the 1 GiB "
+        "limit\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_contract_sweep_two_point_grid_has_no_stderr(tmp_path):
     # two points fit the slope exactly: there is no standard error
     assert run(["contract", "sweep", "--hbar-grid", "1,0.5",
@@ -526,8 +554,12 @@ def test_contract_sweep_underflowed_overlap_exits_1(tmp_path, capsys):
       "1e-320,1e-321"],
      "|overlap| underflows to 0 at hbar=9.99989e-321: ln|overlap| has no "
      "finite value to fit"),
+    # E t overflows in the propagation's phases; it once wrote NaN phases
+    # and then refused the NaN deviations it gave
+    (["contract", "classical", "--t-final", "1e308"],
+     "the phase E t is not finite: |E| up to 14.5 at |t| up to 1e+308"),
 ], ids=["classical-x0-1e300", "sweep-p-1e300", "sweep-subnormal-hbar",
-        "sweep-subnormal-hbar-phase-overflow"])
+        "sweep-subnormal-hbar-phase-overflow", "classical-t-final-1e308"])
 def test_contract_past_the_float_range_exits_1_without_warnings(
         tmp_path, capsys, argv, message):
     # occupation / hbar and the kernel's 1/hbar overflow in floats: a
@@ -785,17 +817,31 @@ def _readme_cli_section():
         "\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
-def test_readme_examples_parse():
+def _readme_examples():
+    """The argument lists of the README's ``galq ...`` example lines."""
     block = re.search(r"```sh\n(.*?)```", _readme_cli_section(), re.S)[1]
-    examples = [ln for ln in block.splitlines() if ln.startswith("galq ")]
+    return [shlex.split(ln)[1:] for ln in block.splitlines()
+            if ln.startswith("galq ")]
+
+
+def test_readme_examples_parse():
     parser = cli.build_parser()
     seen = set()
-    for line in examples:
+    for argv in _readme_examples():
         try:
-            seen.add(parser.parse_args(shlex.split(line)[1:]).subcommand)
+            seen.add(parser.parse_args(argv).subcommand)
         except SystemExit:
-            pytest.fail(f"README example does not parse: {line}")
+            pytest.fail("README example does not parse: galq "
+                        + shlex.join(argv))
     assert seen == set(cli._SCHEMAS)
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: "-".join(
+    w for w in argv[:2] if not w.startswith("-")))
+def test_readme_example_runs(tmp_path, capsys, argv):
+    # a later --outdir wins over an example's own
+    assert run([*argv, "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _readme_file_table():

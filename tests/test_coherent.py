@@ -10,7 +10,7 @@ from scipy.special import gammaincinv, gammaln
 from galq import coherent, fock
 from galq.errors import PrecisionError, ValidationError
 import oracles
-from oracles import basis_state, expi_hermitian, variance
+from oracles import basis_state, expi_hermitian, label_sum, variance
 
 
 def fock_overlap(l1, l2, n_levels):
@@ -368,7 +368,7 @@ def test_weyl_composition_phase():
         phi = coherent.weyl_phase(l1, l2)
         assert phi == pytest.approx(0.5 * (p1 * x2 - x1 * p2), abs=1e-15)
         combined = np.exp(1j * phi) * coherent.displacement(
-            coherent.label_sum(l1, l2), n_levels).matrix
+            label_sum(l1, l2), n_levels).matrix
         assert np.max(np.abs((u12 - combined)[:, :16])) <= 1e-8
     # pure translations: no cocycle phase, and e^{-i x P} composes
     # additively on every column, since both factors use the same P
@@ -435,6 +435,15 @@ def test_overcompleteness_empty_domain_limit():
 def test_overcompleteness_warns_on_coarse_grid():
     res = coherent.overcompleteness_residual(16, 4.0, 1.5, n_check=4)
     assert res.warning is not None and "coarse" in res.warning
+
+
+def test_overcompleteness_grid_is_refused_over_the_byte_limit(monkeypatch):
+    # radius 2, step 0.5: 81 labels, 48 * (4 + 1) * 81 = 19440 bytes
+    monkeypatch.setattr(coherent, "RESIDUAL_BYTES", 19440)
+    coherent.overcompleteness_residual(16, 2.0, 0.5, n_check=4)
+    with pytest.raises(ValidationError,
+                       match="needs ~2.17e-05 GiB on 5 levels"):
+        coherent.overcompleteness_residual(16, 2.0, 0.5, n_check=5)
 
 
 def test_overcompleteness_validation():

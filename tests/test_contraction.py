@@ -464,6 +464,15 @@ def test_eigen_propagate_memory_stays_linear_or_bounded():
         contraction.eigen_propagate(bands, np.zeros(2 * m), times)
 
 
+@pytest.mark.parametrize("kind", ["harmonic", "quartic"])
+@pytest.mark.parametrize("t", [1e308, -1e308, math.inf, math.nan])
+def test_eigen_propagate_refuses_a_phase_that_is_not_finite(kind, t):
+    # one check covers the diagonal (harmonic) and the banded blocks
+    bands = fock.hamiltonian_bands(kind, 8)
+    with pytest.raises(PrecisionError, match="the phase E t is not finite"):
+        contraction.eigen_propagate(bands, np.eye(8)[0], [0.0, t])
+
+
 def test_criterion_09_grid_keeps_its_cutoffs():
     # the verified cutoffs of criterion 09's grid from (x0, p0) = (1, 0)
     grid = (1.0, 0.1, 0.01, 0.001)

