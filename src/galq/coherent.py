@@ -18,11 +18,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import _vec
+from .coset import _Checked, _FloatArray, _scalar, _vec
 from .errors import PrecisionError, ValidationError
 from .fock import (TAIL_TOL, FockOperator, StateVector, _check_levels,
                    poisson_tail, position_basis)
@@ -30,29 +30,26 @@ from .fock import build_xp  # noqa: F401  (kept in this namespace for callers)
 from .projective import coordinates_to_amplitudes
 
 
-@dataclass(frozen=True, eq=False)
-class CoherentLabel:
+class CoherentLabel(_Checked):
     """Phase-space label (p, x) with an optional overall phase theta."""
 
-    p: np.ndarray
-    x: np.ndarray
-    theta: float = 0.0
-    d: int = 1
-    # (x, p) as the Python floats they were checked on, for the kernels
-    _floats: tuple = field(init=False, repr=False)
+    _fields = ("p", "x", "theta", "d")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, p, x, theta=0.0, d=1):
+        if d < 1:
             raise ValidationError("axis count d must be >= 1")
-        p, p_floats = _vec(self.p, self.d, "p")
-        x, x_floats = _vec(self.x, self.d, "x")
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValidationError(f"theta must be finite, got {theta}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "_floats", (x_floats, p_floats))
+        p, x = _vec(p, d, "p"), _vec(x, d, "x")
+        # (x, p) as the Python floats they were checked on, for the kernels
+        self.__dict__.update(theta=_scalar(theta, "theta"), d=d,
+                             _floats=(x, p))
+
+    @_FloatArray
+    def p(self):
+        return self._floats[1]
+
+    @_FloatArray
+    def x(self):
+        return self._floats[0]
 
     @property
     def alpha(self):
@@ -77,10 +74,11 @@ def weyl_phase(l1, l2):
     return 0.5 * float(l1.p @ l2.x - l1.x @ l2.p)
 
 
-def _check_axis(label, n_levels):
+def _check_axis(label):
+    """The one per-axis rule of the Fock-space constructions."""
     if label.d != 1:
-        raise ValidationError("displacement operators are built per axis (d=1)")
-    _check_levels(n_levels)
+        raise ValidationError("Fock states and operators are built per axis "
+                              f"(d=1), got d={label.d}")
 
 
 def _displaced_columns(label, n_levels, n_cols):
@@ -93,11 +91,14 @@ def _displaced_columns(label, n_levels, n_cols):
     cached real position basis X = V diag(lam) V^T.
     """
     lam, vecs = position_basis(n_levels)
-    p, x = float(label.p[0]), float(label.x[0])
+    (x,), (p,) = label._floats
     rot = np.exp(1j * math.atan2(-x, p) * np.arange(n_levels))
     right = np.exp(1j * math.hypot(p, x) * lam)[:, None] \
         * (vecs[:n_cols].T * rot[:n_cols].conj())
-    return np.exp(1j * label.theta) * rot[:, None] * (vecs @ right)
+    # V is real: it multiplies the (re, im) pairs of right, not a complex
+    # copy of itself
+    cols = (vecs @ np.ascontiguousarray(right).view(float)).view(complex)
+    return np.exp(1j * label.theta) * rot[:, None] * cols
 
 
 def displacement(label, n_levels):
@@ -106,7 +107,8 @@ def displacement(label, n_levels):
     Single-axis labels only; multi-axis operators are Kronecker products of
     these and are not needed quantitatively.
     """
-    _check_axis(label, n_levels)
+    _check_axis(label)
+    _check_levels(n_levels)
     return FockOperator(n_levels, _displaced_columns(label, n_levels, n_levels),
                         1.0, "U")
 
@@ -117,7 +119,8 @@ def coherent_state(label, n_levels):
 
     Only the vacuum column of U is computed.
     """
-    _check_axis(label, n_levels)
+    _check_axis(label)
+    _check_levels(n_levels)
     mu = label.occupation
     tail = poisson_tail(n_levels, mu)
     if tail > TAIL_TOL:
@@ -161,8 +164,7 @@ def coherent_amplitudes(label, n_levels):
     This is the analytic oracle for :func:`coherent_state` (equal up to the
     truncation tail).
     """
-    if label.d != 1:
-        raise ValidationError("per-axis amplitudes only (d=1)")
+    _check_axis(label)
     amps = _log_space_amplitudes(label.alpha, n_levels)[0]
     return StateVector(n_levels, amps * np.exp(1j * label.theta))
 
@@ -170,6 +172,23 @@ def coherent_amplitudes(label, n_levels):
 def _axes(l1, l2):
     """Per-axis (x1, p1, x2, p2) of two matched labels, as plain floats."""
     return zip(*l1._floats, *l2._floats)
+
+
+def _hbar(hbar):
+    hbar = float(hbar)  # a numpy hbar would warn where Python floats overflow
+    if not (0 < hbar < math.inf):
+        raise ValidationError("hbar must be positive")
+    return hbar
+
+
+def _kernel(cross, sep, l1, l2, hbar):
+    """<l1|l2> from the axis sums cross of x1.p2 - p1.x2 and sep of the
+    squared label separation."""
+    phase = cross / (2.0 * hbar) + (l2.theta - l1.theta)
+    gauss = sep / (4.0 * hbar)
+    if math.exp(-gauss) == 0.0:
+        return 0j
+    return cmath.exp(1j * phase - gauss)
 
 
 def overlap_analytic(l1, l2, hbar=1.0):
@@ -180,19 +199,13 @@ def overlap_analytic(l1, l2, hbar=1.0):
     the kernel is exactly 0, even when the phase overflows to infinity.
     """
     _check_matched(l1, l2)
-    hbar = float(hbar)  # a numpy hbar would warn where Python floats overflow
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
+    hbar = _hbar(hbar)
     cross = sep = 0.0
     for x1, p1, x2, p2 in _axes(l1, l2):
         dx, dp = x1 - x2, p1 - p2
         cross += x1 * p2 - p1 * x2
         sep += dx * dx + dp * dp
-    phase = cross / (2.0 * hbar) + (l2.theta - l1.theta)
-    gauss = sep / (4.0 * hbar)
-    if math.exp(-gauss) == 0.0:
-        return 0j
-    return cmath.exp(1j * phase - gauss)
+    return _kernel(cross, sep, l1, l2, hbar)
 
 
 def matrix_element_xp(l1, l2, hbar=1.0):
@@ -200,16 +213,23 @@ def matrix_element_xp(l1, l2, hbar=1.0):
     convention: X, P here are the sqrt(hbar)-scaled operators whose
     expectation values the labels are).
 
-    Diagonal elements reduce to the labels themselves.
+    Diagonal elements reduce to the labels themselves.  The overlap
+    factor is summed in the same pass over the axes, in the order of
+    :func:`overlap_analytic`, so it is that kernel's value bit for bit.
     """
-    ov = overlap_analytic(l1, l2, hbar)
+    _check_matched(l1, l2)
+    hbar = _hbar(hbar)
+    cross = sep = 0.0
     mx, mp = [], []
     for x1, p1, x2, p2 in _axes(l1, l2):
-        mx.append(((x1 + x2) - 1j * (p1 - p2)) / 2.0)
-        mp.append(((p1 + p2) + 1j * (x1 - x2)) / 2.0)
+        dx, dp = x1 - x2, p1 - p2
+        cross += x1 * p2 - p1 * x2
+        sep += dx * dx + dp * dp
+        mx.append(((x1 + x2) - 1j * dp) / 2.0)
+        mp.append(((p1 + p2) + 1j * dx) / 2.0)
     # one flat numpy complex product, not Python's: the two can differ in
     # the last bit, and the published kernel tables are numpy's
-    out = np.array(mx + mp) * ov
+    out = np.array(mx + mp) * _kernel(cross, sep, l1, l2, hbar)
     if l1.d == 1:
         return tuple(out.tolist())
     return out[:l1.d], out[l1.d:]

@@ -93,10 +93,9 @@ def fock_overlap_series(l1, l2, hbar, n_levels):
     """<l1|l2> summed over the truncated Fock expansion of both states.
 
     Independent of the closed-form kernel: the amplitudes are evaluated
-    term by term in log space and the series is summed directly.
+    term by term in log space and the series is summed directly.  Like
+    them, it is per axis (d = 1).
     """
-    if l1.d != 1 or l2.d != 1:
-        raise ValidationError("series overlap is per-axis (d=1)")
     a1 = coherent_amplitudes(unscaled_label(l1, hbar), n_levels)
     a2 = coherent_amplitudes(unscaled_label(l2, hbar), n_levels)
     return complex(np.vdot(a1.amplitudes, a2.amplitudes))

@@ -18,7 +18,7 @@ row decouples from (p, x) as k -> infinity (hbar = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -27,19 +27,23 @@ from .errors import ValidationError
 ORTHO_TOL = 1e-9
 
 
+def _finite(floats, name):
+    """floats, a list of Python floats, unless an entry is not finite."""
+    if not all(map(math.isfinite, floats)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return floats
+
+
 def _vec(v, d, name):
-    """v as a float d-vector, and the list of Python floats it was checked
-    on.  A scalar is read as a 1-vector when d = 1."""
+    """v as a checked list of d Python floats.  A scalar is read as a
+    1-vector when d = 1."""
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):
         if d != 1 or v.shape != ():
             raise ValidationError(
                 f"{name} must have {d} component(s), got shape {v.shape}")
         v = v.reshape(1)
-    floats = v.tolist()
-    if not all(map(math.isfinite, floats)):
-        raise ValidationError(f"{name} has non-finite entries")
-    return v, floats
+    return _finite(v.tolist(), name)
 
 
 def _scalar(x, name):
@@ -74,47 +78,114 @@ def _check_rotation(rows, name):
 
 def omega_from_vector(w):
     """Antisymmetric matrix of the rotation rate w: (omega x)_i = (w cross x)_i."""
-    w = _vec(w, 3, "w")[1]
+    w = _vec(w, 3, "w")
     return np.array([[0.0, -w[2], w[1]],
                      [w[2], 0.0, -w[0]],
                      [-w[1], w[0], 0.0]])
 
 
-@dataclass(frozen=True, eq=False)
-class GalileiElement:
+def _frozen(values):
+    """A new read-only float array of values."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+class _FloatArray:
+    """Decorator of a method that returns an instance's checked floats: the
+    attribute of that name is the read-only array of them, built on first
+    access and then kept on the instance (like functools.cached_property,
+    without its lock)."""
+
+    def __init__(self, floats):
+        self.floats = floats
+        self.__doc__ = floats.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        arr = np.array(self.floats(obj))  # Python floats: a float64 array
+        arr.setflags(write=False)
+        obj.__dict__[self.name] = arr
+        return arr
+
+
+class _Checked:
+    """Base of the values that hold only the Python floats their
+    constructors checked.  Their array attributes are built from those
+    floats by _FloatArray, so no caller array is ever kept; assigning an
+    attribute raises FrozenInstanceError, as on a frozen dataclass."""
+
+    _fields = ()  # the constructor's parameters, for the repr
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+def _new(cls, **attrs):
+    """An instance of a _Checked class holding attrs, which the caller has
+    checked, made without the constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
+_ZEROS = (0.0, 0.0, 0.0)
+_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+class GalileiElement(_Checked):
     """Finite group element with time shift B, boost V, rotation R and
     space translation A."""
 
-    B: float = 0.0
-    V: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    R: np.ndarray = field(default_factory=lambda: np.eye(3))
-    A: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    # (B, V, rows of R, A) as the Python floats they were checked on
-    _floats: tuple = field(init=False, repr=False)
+    _fields = ("B", "V", "R", "A")
 
-    def __post_init__(self):
-        B = _scalar(self.B, "B")
-        V, v = _vec(self.V, 3, "V")
-        A, a = _vec(self.A, 3, "A")
-        R = np.asarray(self.R, dtype=float)
+    def __init__(self, B=0.0, V=_ZEROS, R=_IDENTITY, A=_ZEROS):
+        self.__post_init__(B, V, R, A)
+
+    def __post_init__(self, B, V, R, A):
+        """Check every construction from outside input, and keep (B, V,
+        rows of R, A) as Python floats."""
+        B = _scalar(B, "B")
+        V, A = _vec(V, 3, "V"), _vec(A, 3, "A")
+        R = np.asarray(R, dtype=float)
         if R.shape != (3, 3):
             raise ValidationError("R must be a 3x3 matrix")
         rows = R.tolist()
         _check_rotation(rows, "R")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "_floats", (B, v, rows, a))
+        self.__dict__.update(B=B, _floats=(B, V, rows, A))
+
+    @_FloatArray
+    def V(self):
+        return self._floats[1]
+
+    @_FloatArray
+    def R(self):
+        return self._floats[2]
+
+    @_FloatArray
+    def A(self):
+        return self._floats[3]
 
     def as_matrix(self):
         """The 5x5 affine matrix acting on the column (t, x, 1)."""
+        B, V, R, A = self._floats
         m = np.zeros((5, 5))
         m[0, 0] = 1.0
-        m[0, 4] = self.B
-        m[1:4, 0] = self.V
-        m[1:4, 1:4] = self.R
-        m[1:4, 4] = self.A
+        m[0, 4] = B
+        m[1:4, 0] = V
+        m[1:4, 1:4] = R
+        m[1:4, 4] = A
         m[4, 4] = 1.0
         return m
 
@@ -122,7 +193,7 @@ class GalileiElement:
 @dataclass(frozen=True, eq=False)
 class InfinitesimalElement:
     """Lie algebra element; only the parameter subset relevant to a given
-    coset is consumed by each action."""
+    coset is consumed by each action.  Its arrays are read-only copies."""
 
     b: float = 0.0
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -137,8 +208,8 @@ class InfinitesimalElement:
         object.__setattr__(self, "thetabar", _scalar(self.thetabar, "thetabar"))
         for name in ("v", "a", "pbar", "xbar"):
             object.__setattr__(self, name,
-                               _vec(getattr(self, name), 3, name)[0])
-        omega = np.asarray(self.omega, dtype=float)
+                               _frozen(_vec(getattr(self, name), 3, name)))
+        omega = _frozen(self.omega)
         if omega.shape != (3, 3):
             raise ValidationError("omega must be a 3x3 matrix")
         if not np.all(np.isfinite(omega)):
@@ -148,67 +219,80 @@ class InfinitesimalElement:
         object.__setattr__(self, "omega", omega)
 
 
-@dataclass(frozen=True, eq=False)
-class SpaceTime:
-    t: float
-    x: np.ndarray
-    _x: list = field(init=False, repr=False)  # x as Python floats
+class SpaceTime(_Checked):
+    """Newtonian space-time point (t, x)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", _scalar(self.t, "t"))
-        x, floats = _vec(self.x, 3, "x")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "_x", floats)
+    _fields = ("t", "x")
 
+    def __init__(self, t, x):
+        self.__dict__.update(t=_scalar(t, "t"), _x=_vec(x, 3, "x"))
 
-@dataclass(frozen=True, eq=False)
-class Config:
-    x: np.ndarray
-    theta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _vec(self.x, 3, "x")[0])
-        object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
+    @_FloatArray
+    def x(self):
+        return self._x
 
 
-@dataclass(frozen=True, eq=False)
-class Phase:
-    p: np.ndarray
-    x: np.ndarray
-    theta: float = 0.0
+class Config(_Checked):
+    """Point (x, theta) of the quantum configuration coset."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _vec(self.p, 3, "p")[0])
-        object.__setattr__(self, "x", _vec(self.x, 3, "x")[0])
-        object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
+    _fields = ("x", "theta")
+
+    def __init__(self, x, theta=0.0):
+        self.__dict__.update(_x=_vec(x, 3, "x"), theta=_scalar(theta, "theta"))
+
+    @_FloatArray
+    def x(self):
+        return self._x
+
+
+class Phase(_Checked):
+    """Point (p, x, theta) of the quantum phase-space coset."""
+
+    _fields = ("p", "x", "theta")
+
+    def __init__(self, p, x, theta=0.0):
+        self.__dict__.update(_p=_vec(p, 3, "p"), _x=_vec(x, 3, "x"),
+                             theta=_scalar(theta, "theta"))
+
+    @_FloatArray
+    def p(self):
+        return self._p
+
+    @_FloatArray
+    def x(self):
+        return self._x
 
 
 # The group law runs on the Python floats that the constructors checked:
-# on 3-vectors numpy's fixed cost per call is most of the work.  Each result
-# still goes through its validating constructor.
+# on 3-vectors numpy's fixed cost per call is most of the work.  Each
+# result is made from the floats computed here and refused, as by its
+# constructor, when an entry is not finite or its rotation is lost.
 
 def apply_galilei(g, pt):
     """Finite action (t, x) -> (t + B, V t + R x + A), the action of the
     5x5 matrix ``g.as_matrix()`` on the column (t, x, 1)."""
     B, V, R, A = g._floats
     t, x = pt.t, pt._x
-    return SpaceTime(t + B,
-                     [v * t + _dot3(r, x) + a for v, r, a in zip(V, R, A)])
+    return _new(
+        SpaceTime,
+        t=_scalar(t + B, "t"),
+        _x=_finite([v * t + _dot3(r, x) + a for v, r, a in zip(V, R, A)],
+                   "x"))
 
 
 def compose(g1, g2):
-    """Group product; parameters read off the 5x5 matrix product.
-
-    R1 R2 stays one numpy product: the constructor converts a nested list
-    to an array at more cost than the nine Python dot products save."""
+    """Group product; parameters read off the 5x5 matrix product."""
     B1, V1, R1, A1 = g1._floats
-    B2, V2, _, A2 = g2._floats
-    return GalileiElement(
-        B=B1 + B2,
-        V=[v + _dot3(r, V2) for v, r in zip(V1, R1)],
-        R=g1.R @ g2.R,
-        A=[v * B2 + _dot3(r, A2) + a for v, r, a in zip(V1, R1, A1)],
-    )
+    B2, V2, R2, A2 = g2._floats
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R2
+    rows = [[x * r11 + y * r21 + z * r31, x * r12 + y * r22 + z * r32,
+             x * r13 + y * r23 + z * r33] for x, y, z in R1]
+    B = _scalar(B1 + B2, "B")
+    V = _finite([v + _dot3(r, V2) for v, r in zip(V1, R1)], "V")
+    A = _finite([v * B2 + _dot3(r, A2) + a for v, r, a in zip(V1, R1, A1)],
+                "A")
+    _check_rotation(rows, "R")
+    return _new(GalileiElement, B=B, _floats=(B, V, rows, A))
 
 
 # --- one generator per coset, and the actions built from it ---------------
@@ -217,11 +301,11 @@ def coordinates(pt):
     """A coset point's coordinates in column order: (t, x) on space-time,
     (x, theta) on the configuration coset, (p, x, theta) on phase space."""
     if isinstance(pt, SpaceTime):
-        return np.concatenate(([pt.t], pt.x))
+        return np.array([pt.t, *pt._x])
     if isinstance(pt, Config):
-        return np.concatenate((pt.x, [pt.theta]))
+        return np.array([*pt._x, pt.theta])
     if isinstance(pt, Phase):
-        return np.concatenate((pt.p, pt.x, [pt.theta]))
+        return np.array([*pt._p, *pt._x, pt.theta])
     raise ValidationError(f"unsupported coset point {type(pt).__name__}")
 
 

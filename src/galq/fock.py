@@ -34,8 +34,10 @@ def _check_hbar(hbar):
         raise ValidationError("hbar must be positive")
 
 
-def _freeze(m):
-    m = np.ascontiguousarray(m, dtype=complex)
+def _private_copy(m):
+    """A new read-only complex array of m: the caller's array is neither
+    kept nor made read-only, and a strided view is read like any other."""
+    m = np.array(m, dtype=complex)
     m.setflags(write=False)
     return m
 
@@ -51,12 +53,12 @@ class FockOperator:
     label: str = ""
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _private_copy(self.matrix)
         if m.shape != (self.n_levels, self.n_levels):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match n_levels={self.n_levels}")
         _check_hbar(self.hbar)
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
     def is_hermitian(self, tol):
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
@@ -76,13 +78,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex)
+        v = _private_copy(self.amplitudes)
         if v.shape != (self.n_levels,):
             raise ValidationError(
                 f"amplitude shape {v.shape} does not match n_levels={self.n_levels}")
         if not np.all(np.isfinite(v.view(float))):
             raise ValidationError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", _freeze(v))
+        object.__setattr__(self, "amplitudes", v)
 
     @property
     def norm(self):

@@ -10,9 +10,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from galq import coherent, contraction, fock, projective
+from galq import coherent, contraction, coset, fock, projective
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 LAYERS = ("algebra", "cli", "coherent", "contraction", "coset", "fock",
@@ -27,6 +28,27 @@ LAYERS = ("algebra", "cli", "coherent", "contraction", "coset", "fock",
         "projective.build_hamiltonian"])
 def test_benchmark_binding_is_bound(module, name, target):
     assert getattr(module, name, None) is target
+
+
+@pytest.mark.parametrize("cls, build", [
+    (coset.GalileiElement,
+     lambda: coset.GalileiElement(B=1.0, V=np.ones(3), R=np.eye(3))),
+    (fock.FockOperator, lambda: fock.FockOperator(2, np.eye(2))),
+], ids=["GalileiElement", "FockOperator"])
+def test_constructor_hook_runs_on_every_construction(monkeypatch, cls, build):
+    # the benchmark counts and times constructions from outside input by
+    # wrapping this class attribute, as done here
+    original = cls.__dict__.get("__post_init__")
+    assert inspect.isfunction(original)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    made = [build(), build()]
+    assert calls == made
 
 
 def test_emergence_propagator_is_defined_in_contraction():

@@ -867,3 +867,36 @@ def test_readme_file_table_matches_a_run(tmp_path, words):
             if not any(re.fullmatch(p, w) for p in patterns)] == []
     assert [n for n, p in zip(names, patterns)
             if not any(re.fullmatch(p, w) for w in written)] == []
+
+
+def test_main_builds_one_parser_and_keeps_no_state_in_it(tmp_path,
+                                                         monkeypatch):
+    # main reuses one parser per process: a flag given to one run must not
+    # reach the next, whose files match a run on a freshly built parser
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    argv = ["coherent", "overlap", "--n-levels", "32", "--grid-points", "3",
+            "--outdir", str(tmp_path)]
+
+    def written():
+        doc = json.loads((tmp_path / "coherent_overlap.json").read_text())
+        return doc["config"]["check_numeric"], {
+            p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+    assert run([*argv, "--no-check-numeric"]) == 0
+    assert written()[0] is False
+    assert run(argv) == 0
+    shared = written()
+    assert shared[0] is True
+    assert len(builds) == 1
+    cli._shared_parser.cache_clear()
+    assert run(argv) == 0
+    assert len(builds) == 2
+    assert written() == shared

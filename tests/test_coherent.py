@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.special import gammaincinv, gammaln
 
-from galq import coherent, fock
+from galq import coherent, contraction, fock
 from galq.errors import PrecisionError, ValidationError
 import oracles
 from oracles import basis_state, expi_hermitian, label_sum, variance
@@ -103,6 +103,40 @@ def test_coherent_state_argument_checks():
     two_axis = coherent.CoherentLabel([0.0, 0.0], [0.0, 0.0], d=2)
     with pytest.raises(ValidationError, match="per axis"):
         coherent.coherent_state(two_axis, 32)
+
+
+@pytest.mark.parametrize("build", [
+    lambda lab: coherent.displacement(lab, 32),
+    lambda lab: coherent.coherent_state(lab, 32),
+    lambda lab: coherent.coherent_amplitudes(lab, 32),
+    lambda lab: contraction.fock_overlap_series(lab, lab, 0.5, 32),
+], ids=["displacement", "coherent_state", "coherent_amplitudes",
+        "fock_overlap_series"])
+def test_fock_constructions_share_one_per_axis_rule(build):
+    two_axis = coherent.CoherentLabel([0.1, 0.0], [0.0, 0.2], d=2)
+    with pytest.raises(ValidationError) as err:
+        build(two_axis)
+    assert str(err.value) == ("Fock states and operators are built per "
+                              "axis (d=1), got d=2")
+
+
+@pytest.mark.parametrize("bad", [100.0, math.nan], ids=["100", "nan"])
+def test_coherent_label_keeps_no_caller_array(bad):
+    # writing the caller's array after construction once left the overlap
+    # kernel on the old p while alpha and coherent_state read the new one
+    p, x = np.array([0.5]), np.array([-0.25])
+    lab = coherent.CoherentLabel(p, x)
+    other = coherent.CoherentLabel(0.0, 0.75)
+    before = (coherent.overlap_analytic(lab, other), lab.alpha.copy(),
+              coherent.coherent_state(lab, 32).amplitudes)
+    p[0] = x[0] = bad
+    assert coherent.overlap_analytic(lab, other) == before[0]
+    np.testing.assert_array_equal(lab.alpha, before[1])
+    np.testing.assert_array_equal(coherent.coherent_state(lab, 32).amplitudes,
+                                  before[2])
+    np.testing.assert_array_equal(lab.p, [0.5])
+    with pytest.raises(ValueError):
+        lab.x[0] = 1.0
 
 
 def test_coherent_state_at_origin_is_vacuum():

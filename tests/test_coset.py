@@ -157,6 +157,79 @@ def test_compose_checks_the_product_rotation():
     assert str(err.value) == "R is not orthogonal within 1e-9"
 
 
+@pytest.mark.parametrize("g1, g2, message", [
+    (coset.GalileiElement(B=1e308), coset.GalileiElement(B=1e308),
+     "B must be finite, got inf"),
+    (coset.GalileiElement(V=(1e308, 0.0, 0.0)),
+     coset.GalileiElement(V=(1e308, 0.0, 0.0)), "V has non-finite entries"),
+    (coset.GalileiElement(V=(1e308, 0.0, 0.0)), coset.GalileiElement(B=10.0),
+     "A has non-finite entries"),
+], ids=["B", "V", "A"])
+def test_compose_refuses_a_non_finite_product(g1, g2, message):
+    with pytest.raises(ValidationError) as err:
+        coset.compose(g1, g2)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("g, pt, message", [
+    (coset.GalileiElement(B=1e308), coset.SpaceTime(1e308, (0.0, 0.0, 0.0)),
+     "t must be finite, got inf"),
+    (coset.GalileiElement(V=(1e308, 0.0, 0.0)),
+     coset.SpaceTime(10.0, (0.0, 0.0, 0.0)), "x has non-finite entries"),
+], ids=["t", "x"])
+def test_apply_galilei_refuses_a_non_finite_point(g, pt, message):
+    with pytest.raises(ValidationError) as err:
+        coset.apply_galilei(g, pt)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [100.0, math.nan], ids=["100", "nan"])
+def test_galilei_element_keeps_no_caller_array(bad):
+    # writing the caller's arrays after construction once left the action
+    # on the old values while V and as_matrix() read the new ones
+    rng = np.random.default_rng(8)
+    v, a = rng.uniform(-1.0, 1.0, (2, 3))
+    r = expm(coset.omega_from_vector(rng.uniform(-1.0, 1.0, 3)))
+    saved = v.copy(), r.copy(), a.copy()
+    g = coset.GalileiElement(B=0.5, V=v, R=r, A=a)
+    pt = coset.SpaceTime(0.25, (1.0, 2.0, 3.0))
+    moved, matrix = as_tuple(coset.apply_galilei(g, pt)), g.as_matrix()
+    for arr in (v, r, a):
+        arr.flat[0] = bad
+    np.testing.assert_array_equal(as_tuple(coset.apply_galilei(g, pt)), moved)
+    np.testing.assert_array_equal(g.as_matrix(), matrix)
+    for got, want in zip((g.V, g.R, g.A), saved):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda x: coset.SpaceTime(0.5, x), ("x",)),
+    (lambda x: coset.Config(x, 0.5), ("x",)),
+    (lambda x: coset.Phase(x, x, 0.5), ("p", "x")),
+], ids=["spacetime", "config", "phase"])
+def test_coset_points_keep_no_caller_array(make, fields):
+    x = np.array([1.0, 2.0, 3.0])
+    pt = make(x)
+    coords = coset.coordinates(pt)
+    x[0] = math.nan
+    np.testing.assert_array_equal(coset.coordinates(pt), coords)
+    for name in fields:
+        np.testing.assert_array_equal(getattr(pt, name), [1.0, 2.0, 3.0])
+
+
+def test_group_values_are_read_only():
+    g = coset.compose(coset.GalileiElement(V=np.ones(3)),
+                      coset.GalileiElement(A=np.ones(3)))
+    pt = coset.apply_galilei(g, coset.SpaceTime(0.0, np.ones(3)))
+    for arr in (g.V, g.R, g.A, pt.x):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    for obj, name in ((g, "V"), (g, "B"), (pt, "x"), (pt, "t")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1.0)
+    assert repr(pt) == "SpaceTime(t=0.0, x=array([2., 2., 2.]))"
+
+
 @pytest.mark.parametrize("a, message", [
     (np.diag([0.0, np.inf]), "expm: matrix has non-finite entries"),
     (np.diag([np.nan, 0.0]), "expm: matrix has non-finite entries"),

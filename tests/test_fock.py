@@ -222,6 +222,43 @@ def test_operator_matrices_are_immutable():
         x.matrix[0, 0] = 5.0
 
 
+def test_state_vector_reads_a_strided_column():
+    # a column of a row-major matrix is a strided view; it once raised
+    # numpy's "the last axis must be contiguous" from the finiteness check
+    m = np.arange(64.0).reshape(8, 8) + 1j
+    state = fock.StateVector(8, m[:, 3])
+    np.testing.assert_array_equal(state.amplitudes, m[:, 3])
+    assert state.amplitudes.flags.c_contiguous
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: fock.StateVector(4, c[:]),
+    lambda c: fock.FockOperator(2, c[:].reshape(2, 2)),
+], ids=["state", "operator"])
+def test_constructors_keep_no_view_of_the_caller_array(build):
+    c = np.arange(4.0) + 0j
+    held = build(c)
+    c[0] = np.nan
+    values = held.amplitudes if isinstance(held, fock.StateVector) \
+        else held.matrix
+    np.testing.assert_array_equal(values.ravel(), [0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: fock.StateVector(4, c),
+    lambda c: fock.FockOperator(2, c.reshape(2, 2)),
+], ids=["state", "operator"])
+def test_constructors_leave_the_caller_array_writable(build):
+    c = np.zeros(4, dtype=complex)
+    held = build(c)
+    assert c.flags.writeable
+    c[1] = 1.0  # the caller's array is still its own to write
+    values = held.amplitudes if isinstance(held, fock.StateVector) \
+        else held.matrix
+    assert not values.flags.writeable
+    assert not np.any(values)
+
+
 def test_position_basis_is_hermite_gauss():
     for n_levels in range(2, 65):
         lam, vecs = fock.position_basis(n_levels)
