@@ -405,9 +405,10 @@ def run_coset_orbit(cfg):
                            "phase point p1,p2,p3,x1,x2,x3,theta", 7)
             pt = coset.Phase(pt_vals[0:3], pt_vals[3:6], pt_vals[6])
             names = ["p1", "p2", "p3", "x1", "x2", "x3", "theta"]
+        m = coset.exp_generator(e, pt, t=dt)  # one exponential per orbit
 
         def step(pt):
-            return coset.exp_action(e, pt, t=dt)
+            return coset.apply_matrix(m, pt)
     header = ["step", *names]
     rows = [[0, *coset.coordinates(pt)]]
     for i in range(1, steps + 1):

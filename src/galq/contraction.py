@@ -321,6 +321,13 @@ def eigen_propagate(bands, psi0, times):
     return states
 
 
+def _check_classical_kind(kind):
+    if kind not in ("harmonic", "quartic"):
+        raise ValidationError(
+            f"the classical reference supports the harmonic and quartic "
+            f"kinds, got {kind!r}")
+
+
 def classical_flow(x0, p0, times, kind="harmonic", lam=0.1):
     """Reference classical trajectory of h = (p^2 + x^2)/2 [+ lam x^4].
 
@@ -333,12 +340,11 @@ def classical_flow(x0, p0, times, kind="harmonic", lam=0.1):
     substep is far too large for the oscillation) raises PrecisionError
     naming the sample time it failed at and the substep dt.
     """
+    _check_classical_kind(kind)
     times = np.asarray(times, dtype=float)
     if kind == "harmonic":
         return (x0 * np.cos(times) + p0 * np.sin(times),
                 p0 * np.cos(times) - x0 * np.sin(times))
-    if kind != "quartic":
-        raise ValidationError("classical flow supports harmonic and quartic kinds")
     c4 = 4.0 * float(lam)
     x, p = float(x0), float(p0)
     xs = np.empty(times.size)
@@ -428,15 +434,13 @@ def classical_trajectory_emergence(x0, p0, hbar_grid, kind="harmonic",
     sampled time comes from the same eigenbasis (see
     :func:`eigen_propagate`).
     """
-    if kind not in ("harmonic", "quartic"):
-        raise ValidationError("emergence supports harmonic and quartic kinds")
+    _check_classical_kind(kind)
     hbar_grid = _hbar_grid(hbar_grid)
     if not (0 <= t_final < math.inf):
         raise ValidationError("t_final must be >= 0")
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
-    if kind == "quartic" and not (0 <= lam < math.inf):
-        raise ValidationError("quartic coupling lam must be >= 0")
+    fock._check_coupling(kind, lam)  # before classical_flow runs the RK4
     times = np.linspace(0.0, t_final, n_samples) if t_final > 0 else np.zeros(1)
     cx, cp = classical_flow(x0, p0, times, kind=kind, lam=lam)
     devs = np.empty(len(hbar_grid))

@@ -18,6 +18,7 @@ row decouples from (p, x) as k -> infinity (hbar = 0).
 from __future__ import annotations
 
 import math
+from math import isfinite
 from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
@@ -51,10 +52,6 @@ def _scalar(x, name):
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x}")
     return x
-
-
-def _dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _check_rotation(rows, name):
@@ -132,14 +129,6 @@ class _Checked:
         return f"{type(self).__name__}({args})"
 
 
-def _new(cls, **attrs):
-    """An instance of a _Checked class holding attrs, which the caller has
-    checked, made without the constructor."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(attrs)
-    return obj
-
-
 _ZEROS = (0.0, 0.0, 0.0)
 _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -163,7 +152,9 @@ class GalileiElement(_Checked):
             raise ValidationError("R must be a 3x3 matrix")
         rows = R.tolist()
         _check_rotation(rows, "R")
-        self.__dict__.update(B=B, _floats=(B, V, rows, A))
+        fields = self.__dict__
+        fields["B"] = B
+        fields["_floats"] = (B, V, rows, A)
 
     @_FloatArray
     def V(self):
@@ -225,7 +216,9 @@ class SpaceTime(_Checked):
     _fields = ("t", "x")
 
     def __init__(self, t, x):
-        self.__dict__.update(t=_scalar(t, "t"), _x=_vec(x, 3, "x"))
+        fields = self.__dict__
+        fields["t"] = _scalar(t, "t")
+        fields["_x"] = _vec(x, 3, "x")
 
     @_FloatArray
     def x(self):
@@ -238,7 +231,9 @@ class Config(_Checked):
     _fields = ("x", "theta")
 
     def __init__(self, x, theta=0.0):
-        self.__dict__.update(_x=_vec(x, 3, "x"), theta=_scalar(theta, "theta"))
+        fields = self.__dict__
+        fields["_x"] = _vec(x, 3, "x")
+        fields["theta"] = _scalar(theta, "theta")
 
     @_FloatArray
     def x(self):
@@ -251,8 +246,10 @@ class Phase(_Checked):
     _fields = ("p", "x", "theta")
 
     def __init__(self, p, x, theta=0.0):
-        self.__dict__.update(_p=_vec(p, 3, "p"), _x=_vec(x, 3, "x"),
-                             theta=_scalar(theta, "theta"))
+        fields = self.__dict__
+        fields["_p"] = _vec(p, 3, "p")
+        fields["_x"] = _vec(x, 3, "x")
+        fields["theta"] = _scalar(theta, "theta")
 
     @_FloatArray
     def p(self):
@@ -265,34 +262,66 @@ class Phase(_Checked):
 
 # The group law runs on the Python floats that the constructors checked:
 # on 3-vectors numpy's fixed cost per call is most of the work.  Each
-# result is made from the floats computed here and refused, as by its
+# result is made from the floats computed here, in the operation order of
+# the dot products (r1 x1 + r2 x2) + r3 x3, and refused, as by its
 # constructor, when an entry is not finite or its rotation is lost.
 
 def apply_galilei(g, pt):
     """Finite action (t, x) -> (t + B, V t + R x + A), the action of the
     5x5 matrix ``g.as_matrix()`` on the column (t, x, 1)."""
-    B, V, R, A = g._floats
-    t, x = pt.t, pt._x
-    return _new(
-        SpaceTime,
-        t=_scalar(t + B, "t"),
-        _x=_finite([v * t + _dot3(r, x) + a for v, r, a in zip(V, R, A)],
-                   "x"))
+    B, (v1, v2, v3), R, (a1, a2, a3) = g._floats
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R
+    t = pt.t
+    x1, x2, x3 = pt._x
+    s = t + B
+    if not isfinite(s):
+        raise ValidationError(f"t must be finite, got {s}")
+    y1 = v1 * t + (r11 * x1 + r12 * x2 + r13 * x3) + a1
+    y2 = v2 * t + (r21 * x1 + r22 * x2 + r23 * x3) + a2
+    y3 = v3 * t + (r31 * x1 + r32 * x2 + r33 * x3) + a3
+    if not (isfinite(y1) and isfinite(y2) and isfinite(y3)):
+        raise ValidationError("x has non-finite entries")
+    out = object.__new__(SpaceTime)
+    fields = out.__dict__
+    fields["t"] = s
+    fields["_x"] = [y1, y2, y3]
+    return out
 
 
 def compose(g1, g2):
     """Group product; parameters read off the 5x5 matrix product."""
-    B1, V1, R1, A1 = g1._floats
-    B2, V2, R2, A2 = g2._floats
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R2
-    rows = [[x * r11 + y * r21 + z * r31, x * r12 + y * r22 + z * r32,
-             x * r13 + y * r23 + z * r33] for x, y, z in R1]
-    B = _scalar(B1 + B2, "B")
-    V = _finite([v + _dot3(r, V2) for v, r in zip(V1, R1)], "V")
-    A = _finite([v * B2 + _dot3(r, A2) + a for v, r, a in zip(V1, R1, A1)],
-                "A")
+    B1, (v1, v2, v3), R1, (a1, a2, a3) = g1._floats
+    B2, (w1, w2, w3), R2, (c1, c2, c3) = g2._floats
+    (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = R1
+    (q11, q12, q13), (q21, q22, q23), (q31, q32, q33) = R2
+    B = B1 + B2
+    if not isfinite(B):
+        raise ValidationError(f"B must be finite, got {B}")
+    V = [v1 + (p11 * w1 + p12 * w2 + p13 * w3),
+         v2 + (p21 * w1 + p22 * w2 + p23 * w3),
+         v3 + (p31 * w1 + p32 * w2 + p33 * w3)]
+    if not (isfinite(V[0]) and isfinite(V[1]) and isfinite(V[2])):
+        raise ValidationError("V has non-finite entries")
+    A = [v1 * B2 + (p11 * c1 + p12 * c2 + p13 * c3) + a1,
+         v2 * B2 + (p21 * c1 + p22 * c2 + p23 * c3) + a2,
+         v3 * B2 + (p31 * c1 + p32 * c2 + p33 * c3) + a3]
+    if not (isfinite(A[0]) and isfinite(A[1]) and isfinite(A[2])):
+        raise ValidationError("A has non-finite entries")
+    rows = [[p11 * q11 + p12 * q21 + p13 * q31,
+             p11 * q12 + p12 * q22 + p13 * q32,
+             p11 * q13 + p12 * q23 + p13 * q33],
+            [p21 * q11 + p22 * q21 + p23 * q31,
+             p21 * q12 + p22 * q22 + p23 * q32,
+             p21 * q13 + p22 * q23 + p23 * q33],
+            [p31 * q11 + p32 * q21 + p33 * q31,
+             p31 * q12 + p32 * q22 + p33 * q32,
+             p31 * q13 + p32 * q23 + p33 * q33]]
     _check_rotation(rows, "R")
-    return _new(GalileiElement, B=B, _floats=(B, V, rows, A))
+    out = object.__new__(GalileiElement)
+    fields = out.__dict__
+    fields["B"] = B
+    fields["_floats"] = (B, V, rows, A)
+    return out
 
 
 # --- one generator per coset, and the actions built from it ---------------
@@ -405,26 +434,41 @@ def expm(a):
     return out
 
 
-def exp_action(e, pt, t=1.0):
-    """Finite action exp(t * generator) on the column (coordinates(pt), 1),
-    by :func:`expm`.  For pure translations the generator is nilpotent, so
-    the exponential terminates and theta picks up the Heisenberg-Weyl
+def exp_generator(e, pt, t=1.0):
+    """exp(t G) by :func:`expm`, for the generator G of e on the coset of
+    pt (only pt's type is read): the matrix that :func:`apply_matrix`
+    applies to the coset's points.  For pure translations G is nilpotent,
+    so the exponential terminates and theta picks up the Heisenberg-Weyl
     cocycle exactly.
 
     Each 3x3 rotation block of exp(t G) must pass the rotation check of
     GalileiElement: squaring a fast rotation loses it to roundoff (at
-    |omega| t ~ 1e19 it squares to zero), and such an action is refused
-    with ValidationError.  So is an action past the float range: t G or
-    the new point overflows, and expm or the point's constructor refuses
-    the entries that are not finite."""
-    col = np.append(coordinates(pt), 1.0)
+    |omega| t ~ 1e19 it squares to zero), and such a matrix is refused
+    with ValidationError.  So is a t G that overflows, whose entries expm
+    refuses as not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = expm(t * _generator(e, pt))
-        col = m @ col
     for i in _rotation_rows(pt):
         _check_rotation(m[i:i + 3, i:i + 3].tolist(),
                         "the rotation block of exp(t G)")
+    return m
+
+
+def apply_matrix(m, pt):
+    """The point of pt's coset at m times the column (coordinates(pt), 1),
+    for m from :func:`exp_generator`.  A new point past the float range is
+    refused by its constructor, with ValidationError."""
+    col = np.append(coordinates(pt), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = m @ col
     return type(pt)(*_split(pt, col))
+
+
+def exp_action(e, pt, t=1.0):
+    """Finite action exp(t G) on the column (coordinates(pt), 1): the
+    matrix of :func:`exp_generator`, with its checks, applied to pt by
+    :func:`apply_matrix`."""
+    return apply_matrix(exp_generator(e, pt, t), pt)
 
 
 exp_phase_action = exp_action  # perfbench/workloads.py calls this name

@@ -34,6 +34,13 @@ def _check_hbar(hbar):
         raise ValidationError("hbar must be positive")
 
 
+def _check_coupling(kind, lam):
+    """The quartic coupling rule: 0 <= lam < inf, read only by the quartic
+    kind."""
+    if kind == "quartic" and not (0 <= lam < math.inf):
+        raise ValidationError("quartic coupling lam must be >= 0")
+
+
 def _private_copy(m):
     """A new read-only complex array of m: the caller's array is neither
     kept nor made read-only, and a strided view is read like any other."""
@@ -267,8 +274,7 @@ def hamiltonian_bands(kind, n_levels, lam=0.1):
     if kind not in HAMILTONIAN_KINDS:
         raise ValidationError(
             f"unknown Hamiltonian kind {kind!r}, expected one of {HAMILTONIAN_KINDS}")
-    if kind == "quartic" and not (0 <= lam < math.inf):
-        raise ValidationError("quartic coupling lam must be >= 0")
+    _check_coupling(kind, lam)
     _check_levels(n_levels)
     n = np.arange(n_levels, dtype=float)
     d = n + 0.5

@@ -3,10 +3,10 @@ oracles, independent of the banded propagator in galq.contraction and of
 the closed forms in galq.coherent and unitary to roundoff by construction,
 the reference Hamiltonians as products of the X and P matrices, independent
 of the closed-form bands of galq.fock, the array-based RK4 of the quartic
-classical reference, the numpy forms of the Galilei group law and of the
-X/P matrix-element kernel, the dense ladder matrix and the additive part
-of the Heisenberg-Weyl label product, plus number states and variances on the
-truncated Fock space."""
+classical reference, the numpy and the first float forms of the Galilei
+group law, the numpy form of the X/P matrix-element kernel, the dense
+ladder matrix and the additive part of the Heisenberg-Weyl label product,
+plus number states and variances on the truncated Fock space."""
 
 import numpy as np
 
@@ -123,6 +123,48 @@ def compose(g1, g2):
         R=g1.R @ g2.R,
         A=g1.V * g2.B + g1.R @ g2.A + g1.A,
     )
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _made(cls, **fields):
+    """An instance of a galq.coset value class holding fields, made without
+    its constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def apply_galilei_floats(g, pt):
+    """The float action (t, x) -> (t + B, V t + R x + A) as list
+    comprehensions over the rows and a shared dot product, with the
+    constructors' checks: the bits and refusals that galq.coset.apply_galilei
+    must reproduce."""
+    B, V, R, A = g._floats
+    t, x = pt.t, pt._x
+    return _made(
+        coset.SpaceTime,
+        t=coset._scalar(t + B, "t"),
+        _x=coset._finite([v * t + _dot3(r, x) + a for v, r, a in zip(V, R, A)],
+                         "x"))
+
+
+def compose_floats(g1, g2):
+    """The float group product in the same form: the bits and refusals that
+    galq.coset.compose must reproduce."""
+    B1, V1, R1, A1 = g1._floats
+    B2, V2, R2, A2 = g2._floats
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R2
+    rows = [[x * r11 + y * r21 + z * r31, x * r12 + y * r22 + z * r32,
+             x * r13 + y * r23 + z * r33] for x, y, z in R1]
+    B = coset._scalar(B1 + B2, "B")
+    V = coset._finite([v + _dot3(r, V2) for v, r in zip(V1, R1)], "V")
+    A = coset._finite([v * B2 + _dot3(r, A2) + a
+                       for v, r, a in zip(V1, R1, A1)], "A")
+    coset._check_rotation(rows, "R")
+    return _made(coset.GalileiElement, B=B, _floats=(B, V, rows, A))
 
 
 def label_sum(l1, l2):

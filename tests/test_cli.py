@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from galq import cli, coherent, fock, projective
+from galq import cli, coherent, coset, fock, projective
 
 
 def run(args):
@@ -120,6 +120,41 @@ def test_coset_orbit_config_translation_closed_form(tmp_path):
                   + 0.5 * t * t * np.dot(pbar, xbar))
     np.testing.assert_allclose(got[:, 1:4], want_x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got[:, 4], want_theta, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, point, start", [
+    ("config", "1,2,3,0.5", coset.Config((1.0, 2.0, 3.0), 0.5)),
+    ("phase", "0.5,0,1,1,2,3,0.5",
+     coset.Phase((0.5, 0.0, 1.0), (1.0, 2.0, 3.0), 0.5)),
+], ids=["config", "phase"])
+def test_coset_orbit_rows_are_repeated_exp_actions(tmp_path, monkeypatch,
+                                                   kind, point, start):
+    # one exp(dt G) per orbit, applied at every step: the rows keep the bits
+    # of one exp_action call per step
+    built = []
+    expm = coset.expm
+
+    def counted(a):
+        built.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(coset, "expm", counted)
+    assert run(["coset", "orbit", "--coset", kind, "--omega", "0.3,-0.2,0.5",
+                "--pbar", "1,0.5,0", "--xbar", "0.2,-0.3,0.1",
+                "--thetabar", "0.25", "--point", point, "--steps", "20",
+                "--dt", "0.1", "--outdir", str(tmp_path)]) == 0
+    assert len(built) == 1
+    rows = [ln for ln in read(tmp_path / "coset_orbit.csv").decode().splitlines()
+            if ln and not ln.startswith("#") and not ln.startswith("step")]
+    e = coset.InfinitesimalElement(
+        omega=coset.omega_from_vector((0.3, -0.2, 0.5)), pbar=(1.0, 0.5, 0.0),
+        xbar=(0.2, -0.3, 0.1), thetabar=0.25)
+    pt, want = start, []
+    for i in range(21):
+        if i:
+            pt = coset.exp_action(e, pt, t=0.1)
+        want.append(",".join([str(i), *map(repr, coset.coordinates(pt).tolist())]))
+    assert rows == want
 
 
 def test_coset_orbit_bad_name_exits_1(tmp_path):

@@ -342,6 +342,31 @@ def test_emergence_zero_time():
     assert np.all(rep.max_deviation <= 1e-12)
 
 
+def test_classical_kind_rule_has_one_message():
+    times = np.linspace(0.0, 1.0, 3)
+    want = ("the classical reference supports the harmonic and quartic "
+            "kinds, got 'free'")
+    for call in (lambda: contraction.classical_flow(1.0, 0.0, times, "free"),
+                 lambda: contraction.classical_trajectory_emergence(
+                     1.0, 0.0, [1.0], kind="free")):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == want
+
+
+def test_emergence_checks_the_coupling_before_the_classical_flow(monkeypatch):
+    def flow(*args, **kwargs):
+        raise AssertionError("classical_flow ran with a negative coupling")
+
+    monkeypatch.setattr(contraction, "classical_flow", flow)
+    for call in (lambda: contraction.classical_trajectory_emergence(
+                     1.0, 0.0, [1.0], kind="quartic", lam=-0.5),
+                 lambda: fock.hamiltonian_bands("quartic", 8, -0.5)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == "quartic coupling lam must be >= 0"
+
+
 def test_emergence_validation():
     with pytest.raises(ValidationError):
         contraction.classical_trajectory_emergence(1.0, 0.0, [1.0], kind="free")

@@ -148,6 +148,67 @@ def test_float_group_law_matches_the_affine_matrix_product():
     assert worst <= 6e-14
 
 
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+def test_group_law_is_bitwise_the_first_float_form():
+    # the written-out products keep the operation order of the list and
+    # dot-product forms, so every result keeps its float64 bits
+    rng = np.random.default_rng(47)
+    for _ in range(2500):
+        g1, g2 = random_element(rng), random_element(rng)
+        pt = random_point(rng)
+        moved = coset.apply_galilei(g1, pt)
+        ref = oracles.apply_galilei_floats(g1, pt)
+        np.testing.assert_array_equal(_bits([moved.t, *moved._x]),
+                                      _bits([ref.t, *ref._x]))
+        product = coset.compose(g1, g2)
+        ref = oracles.compose_floats(g1, g2)
+        (B, V, R, A), (rB, rV, rR, rA) = product._floats, ref._floats
+        assert product.B is B
+        np.testing.assert_array_equal(_bits([B, *V, *R[0], *R[1], *R[2], *A]),
+                                      _bits([rB, *rV, *rR[0], *rR[1], *rR[2],
+                                             *rA]))
+
+
+_TILT = expm(coset.omega_from_vector([0.0, 0.0, math.pi / 4]))  # r21 = r22
+
+
+@pytest.mark.parametrize("law, reference, args", [
+    (coset.apply_galilei, oracles.apply_galilei_floats,
+     (coset.GalileiElement(B=1e308), coset.SpaceTime(1e308, (0.0, 0.0, 0.0)))),
+    (coset.apply_galilei, oracles.apply_galilei_floats,
+     (coset.GalileiElement(V=(0.0, 0.0, 1e308)),
+      coset.SpaceTime(10.0, (0.0, 0.0, 0.0)))),
+    # V t = inf and R x = -inf: a NaN entry
+    (coset.apply_galilei, oracles.apply_galilei_floats,
+     (coset.GalileiElement(V=(0.0, 1e308, 0.0), R=_TILT),
+      coset.SpaceTime(10.0, (-1.7e308, -1.7e308, 0.0)))),
+    (coset.compose, oracles.compose_floats,
+     (coset.GalileiElement(B=-1e308), coset.GalileiElement(B=-1e308))),
+    (coset.compose, oracles.compose_floats,
+     (coset.GalileiElement(V=(0.0, 1e308, 0.0)),
+      coset.GalileiElement(V=(0.0, 1e308, 0.0)))),
+    (coset.compose, oracles.compose_floats,
+     (coset.GalileiElement(V=(1e308, 0.0, 0.0)), coset.GalileiElement(B=10.0))),
+    # the factors' R^T R - I is 9.0e-10, within ORTHO_TOL; the product's not
+    (coset.compose, oracles.compose_floats,
+     (coset.GalileiElement(R=np.diag([1.0 + 0.45e-9, 1.0, 1.0])),) * 2),
+    # the product's R^T R - I is 9.8e-10, its det(R) - 1 is 1.5e-9
+    (coset.compose, oracles.compose_floats,
+     (coset.GalileiElement(R=np.eye(3) * (1.0 + 0.245e-9)),) * 2),
+], ids=["apply-t", "apply-x-inf", "apply-x-nan", "compose-B", "compose-V",
+        "compose-A", "compose-R-orthogonal", "compose-R-determinant"])
+def test_group_law_refuses_what_the_first_float_form_refuses(law, reference,
+                                                             args):
+    with pytest.raises(ValidationError) as want:
+        reference(*args)
+    with pytest.raises(ValidationError) as got:
+        law(*args)
+    assert str(got.value) == str(want.value)
+
+
 def test_compose_checks_the_product_rotation():
     # each factor's R^T R - I is 9.0e-10, within ORTHO_TOL; the product's is
     # 1.8e-9, so composing must still refuse it
