@@ -93,16 +93,11 @@ class StructureTable:
         tbl.c = c
         return tbl
 
-    def index(self, g):
-        """Index of a generator given by name or index."""
-        if isinstance(g, str):
-            if g not in self._index:
-                raise ValidationError(f"unknown generator {g!r}")
-            return self._index[g]
-        g = int(g)
-        if not 0 <= g < self.dim:
-            raise ValidationError(f"generator index {g} out of range")
-        return g
+    def index(self, name):
+        """Index of the generator called name."""
+        if not isinstance(name, str) or name not in self._index:
+            raise ValidationError(f"unknown generator {name!r}")
+        return self._index[name]
 
     def __eq__(self, other):
         return (isinstance(other, StructureTable) and self.names == other.names

@@ -56,12 +56,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x):
-    """Shortest round-trip decimal form; deterministic across runs."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    """Shortest round-trip decimal form of a float, or an int as it is;
+    deterministic across runs."""
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def _jsonable(obj):
@@ -266,14 +263,14 @@ def _config_lines(cfg):
 
 def _csv(header, rows):
     """A CSV file's lines: the header, then one line per row.  rows is a
-    2-D float array, or an iterable of rows of numbers and strings."""
+    2-D float array, or an iterable of rows of numbers."""
     yield ",".join(header)
     if isinstance(rows, np.ndarray):
         for row in rows:
             yield ",".join(map(repr, row.tolist()))
     else:
         for row in rows:
-            yield ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+            yield ",".join(map(_fmt, row))
 
 
 def _nonfinite_key(obj, key):

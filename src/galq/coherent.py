@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import _Checked, _FloatArray, _scalar, _vec
+from .coset import _Checked, _frozen, _scalar, _vec
 from .errors import PrecisionError, ValidationError
-from .fock import (TAIL_TOL, FockOperator, StateVector, _check_levels,
-                   poisson_tail, position_basis)
+from .fock import (TAIL_TOL, FockOperator, StateVector, _check_hbar,
+                   _check_levels, poisson_tail, position_basis)
 from .fock import build_xp  # noqa: F401  (kept in this namespace for callers)
 from .projective import coordinates_to_amplitudes
 
@@ -43,13 +43,8 @@ class CoherentLabel(_Checked):
         self.__dict__.update(theta=_scalar(theta, "theta"), d=d,
                              _floats=(x, p))
 
-    @_FloatArray
-    def p(self):
-        return self._floats[1]
-
-    @_FloatArray
-    def x(self):
-        return self._floats[0]
+    p = property(lambda self: _frozen(self._floats[1]))
+    x = property(lambda self: _frozen(self._floats[0]))
 
     @property
     def alpha(self):
@@ -174,13 +169,6 @@ def _axes(l1, l2):
     return zip(*l1._floats, *l2._floats)
 
 
-def _hbar(hbar):
-    hbar = float(hbar)  # a numpy hbar would warn where Python floats overflow
-    if not (0 < hbar < math.inf):
-        raise ValidationError("hbar must be positive")
-    return hbar
-
-
 def _kernel(cross, sep, l1, l2, hbar):
     """<l1|l2> from the axis sums cross of x1.p2 - p1.x2 and sep of the
     squared label separation."""
@@ -199,7 +187,7 @@ def overlap_analytic(l1, l2, hbar=1.0):
     the kernel is exactly 0, even when the phase overflows to infinity.
     """
     _check_matched(l1, l2)
-    hbar = _hbar(hbar)
+    hbar = _check_hbar(hbar)
     cross = sep = 0.0
     for x1, p1, x2, p2 in _axes(l1, l2):
         dx, dp = x1 - x2, p1 - p2
@@ -218,7 +206,7 @@ def matrix_element_xp(l1, l2, hbar=1.0):
     :func:`overlap_analytic`, so it is that kernel's value bit for bit.
     """
     _check_matched(l1, l2)
-    hbar = _hbar(hbar)
+    hbar = _check_hbar(hbar)
     cross = sep = 0.0
     mx, mp = [], []
     for x1, p1, x2, p2 in _axes(l1, l2):

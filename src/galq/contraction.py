@@ -248,13 +248,16 @@ def _fit_log_decay(hbar, absov):
 # --- classical trajectory emergence ---------------------------------------
 
 def _phase_step(energies, times, coeff):
-    """e^{-i E t} coeff, (len(E), len(times)), for a column coeff; an E t
-    that is not a finite float raises PrecisionError."""
+    """e^{-i E t} coeff, (len(E), len(times)), for a column coeff.  From
+    |E t| = 2**52 on, a float64 keeps no fractional digit of the phase, so
+    max|E| max|t| must stay below it (NaN and inf fail too), or
+    PrecisionError is raised."""
     e = float(np.max(np.abs(energies), initial=0.0))
     t = float(np.max(np.abs(times), initial=0.0))
-    if not e * t < math.inf:  # the largest |E t|, inf in Python floats
+    if not e * t < 2.0**52:
         raise PrecisionError(
-            f"the phase E t is not finite: |E| up to {e:g} at |t| up to {t:g}")
+            f"the phase E t keeps no fractional digit in float64: |E| up to "
+            f"{e:g} at |t| up to {t:g}; max|E| max|t| must stay below 2**52")
     a = np.exp(np.multiply.outer(energies, times) * -1j)
     a *= coeff
     return a
@@ -274,9 +277,10 @@ def eigen_propagate(bands, psi0, times):
     copied to complex.  A block whose bands 1 and 2 are all zero
     (harmonic) is its own eigenbasis, W = I, at any N; a banded block whose
     eigenbasis would exceed EIGENBASIS_BYTES raises PrecisionError before
-    anything is allocated, and so does a time whose phase E t is not a
-    finite float.  Bands of another shape than (3, N), not finite, or
-    nonzero past the matrix edge raise ValidationError.
+    anything is allocated, and so does a time whose phase E t keeps no
+    fractional digit in float64 (max|E| max|t| >= 2**52, or not finite).
+    Bands of another shape than (3, N), not finite, or nonzero past the
+    matrix edge raise ValidationError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)

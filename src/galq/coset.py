@@ -88,33 +88,12 @@ def _frozen(values):
     return arr
 
 
-class _FloatArray:
-    """Decorator of a method that returns an instance's checked floats: the
-    attribute of that name is the read-only array of them, built on first
-    access and then kept on the instance (like functools.cached_property,
-    without its lock)."""
-
-    def __init__(self, floats):
-        self.floats = floats
-        self.__doc__ = floats.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        arr = np.array(self.floats(obj))  # Python floats: a float64 array
-        arr.setflags(write=False)
-        obj.__dict__[self.name] = arr
-        return arr
-
-
 class _Checked:
     """Base of the values that hold only the Python floats their
-    constructors checked.  Their array attributes are built from those
-    floats by _FloatArray, so no caller array is ever kept; assigning an
-    attribute raises FrozenInstanceError, as on a frozen dataclass."""
+    constructors checked.  Each read of an array attribute returns a new
+    read-only array of those floats, so no caller array is ever kept;
+    assigning an attribute raises FrozenInstanceError, as on a frozen
+    dataclass."""
 
     _fields = ()  # the constructor's parameters, for the repr
 
@@ -156,17 +135,9 @@ class GalileiElement(_Checked):
         fields["B"] = B
         fields["_floats"] = (B, V, rows, A)
 
-    @_FloatArray
-    def V(self):
-        return self._floats[1]
-
-    @_FloatArray
-    def R(self):
-        return self._floats[2]
-
-    @_FloatArray
-    def A(self):
-        return self._floats[3]
+    V = property(lambda self: _frozen(self._floats[1]))
+    R = property(lambda self: _frozen(self._floats[2]))
+    A = property(lambda self: _frozen(self._floats[3]))
 
     def as_matrix(self):
         """The 5x5 affine matrix acting on the column (t, x, 1)."""
@@ -220,9 +191,7 @@ class SpaceTime(_Checked):
         fields["t"] = _scalar(t, "t")
         fields["_x"] = _vec(x, 3, "x")
 
-    @_FloatArray
-    def x(self):
-        return self._x
+    x = property(lambda self: _frozen(self._x))
 
 
 class Config(_Checked):
@@ -235,9 +204,7 @@ class Config(_Checked):
         fields["_x"] = _vec(x, 3, "x")
         fields["theta"] = _scalar(theta, "theta")
 
-    @_FloatArray
-    def x(self):
-        return self._x
+    x = property(lambda self: _frozen(self._x))
 
 
 class Phase(_Checked):
@@ -251,13 +218,8 @@ class Phase(_Checked):
         fields["_x"] = _vec(x, 3, "x")
         fields["theta"] = _scalar(theta, "theta")
 
-    @_FloatArray
-    def p(self):
-        return self._p
-
-    @_FloatArray
-    def x(self):
-        return self._x
+    p = property(lambda self: _frozen(self._p))
+    x = property(lambda self: _frozen(self._x))
 
 
 # The group law runs on the Python floats that the constructors checked:

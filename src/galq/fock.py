@@ -30,8 +30,12 @@ def _check_levels(n_levels):
 
 
 def _check_hbar(hbar):
+    """hbar as a checked Python float (a numpy hbar would warn where Python
+    floats overflow)."""
+    hbar = float(hbar)
     if not (0 < hbar < math.inf):
         raise ValidationError("hbar must be positive")
+    return hbar
 
 
 def _check_coupling(kind, lam):

@@ -117,6 +117,11 @@ def test_zero_term_generator_is_resolved():
         algebra.StructureTable(("X_1", "I"), {("X_1", "X_1"): {"Q_9": 0.0}})
 
 
+def test_generators_are_named_not_numbered():
+    with pytest.raises(ValidationError, match="unknown generator 0"):
+        algebra.bracket(0, 1, algebra.hr3_table())
+
+
 def test_self_bracket_must_vanish():
     with pytest.raises(ValidationError):
         algebra.StructureTable(("X_1", "I"), {("X_1", "X_1"): {"I": 1.0}})

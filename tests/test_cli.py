@@ -73,6 +73,24 @@ def test_algebra_verify_nonfinite_table_exits_1(tmp_path, coeff, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_algebra_verify_table_failing_jacobi_exits_2(tmp_path, capsys):
+    # [[J_1,J_2],J_3] + [[J_2,J_3],J_1] + [[J_3,J_1],J_2] = J_1, not 0:
+    # no Lie algebra, so the Jacobi gate must fail
+    table = tmp_path / "t.txt"
+    table.write_text("generators: J_1 J_2 J_3\n[J_1,J_2] = 1.0*J_3\n"
+                     "[J_2,J_3] = 1.0*J_1\n[J_1,J_3] = 1.0*J_3\n")
+    out = tmp_path / "out"
+    assert run(["algebra", "verify", "--table", str(table),
+                "--outdir", str(out)]) == 2
+    doc = strict_json(out / "algebra_verify.json")
+    assert doc["pass"] is False
+    assert doc["results"]["worst_identity"] == "custom:jacobi_residual"
+    assert doc["results"]["worst_residual"] == 1.0
+    assert capsys.readouterr().err == (
+        "galq: tolerance failure: Jacobi residual 1.000e+00 > 1.0e-12 for "
+        "custom:jacobi_residual\n")
+
+
 def test_coset_orbit_boost_grows_linearly(tmp_path):
     assert run(["coset", "orbit", "--coset", "spacetime", "--v", "1,0,0",
                 "--point", "1,0,0,0", "--steps", "4", "--dt", "0.5",
@@ -267,6 +285,21 @@ def test_nonfinite_input_exits_1_writing_nothing(tmp_path, argv, cfg_text,
     cfgfile.write_text(cfg_text)
     assert run([*argv, "--config", str(cfgfile), "--outdir", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coset", "orbit", "--steps", "0"], "steps must be >= 1 and dt positive"),
+    (["coset", "orbit", "--dt", "0"], "steps must be >= 1 and dt positive"),
+    (["coherent", "overlap", "--hbar", "0.5"],
+     "numeric cross-check runs in internal units (hbar = 1)"),
+    (["contract", "sweep", "--hbar-grid", "1"],
+     "need at least two hbar points to fit a slope"),
+], ids=["orbit-steps-0", "orbit-dt-0", "overlap-hbar-0.5", "sweep-one-hbar"])
+def test_refused_run_exits_1_writing_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run([*argv, "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == f"galq: error: {message}\n"
     assert list(out.iterdir()) == []
 
 
@@ -592,7 +625,8 @@ def test_contract_sweep_underflowed_overlap_exits_1(tmp_path, capsys):
     # E t overflows in the propagation's phases; it once wrote NaN phases
     # and then refused the NaN deviations it gave
     (["contract", "classical", "--t-final", "1e308"],
-     "the phase E t is not finite: |E| up to 14.5 at |t| up to 1e+308"),
+     "the phase E t keeps no fractional digit in float64: |E| up to 14.5 "
+     "at |t| up to 1e+308; max|E| max|t| must stay below 2**52"),
 ], ids=["classical-x0-1e300", "sweep-p-1e300", "sweep-subnormal-hbar",
         "sweep-subnormal-hbar-phase-overflow", "classical-t-final-1e308"])
 def test_contract_past_the_float_range_exits_1_without_warnings(
@@ -602,6 +636,25 @@ def test_contract_past_the_float_range_exits_1_without_warnings(
     assert run([*argv, "--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"galq: error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_contract_classical_phase_without_fractional_digits_exits_1(
+        tmp_path, capsys):
+    # at t = 1e20 float64 keeps no fractional digit of E t: the run once
+    # reported the noise of its phases as a tolerance failure (exit 2)
+    assert run(["contract", "classical", "--t-final", "1e20",
+                "--outdir", str(tmp_path)]) == 1
+    assert "the phase E t keeps no fractional digit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_contract_classical_long_harmonic_run_passes(tmp_path):
+    # the largest phase at t = 1e12 is 6.6e14 < 2**52: (n + 1/2) t is exact
+    assert run(["contract", "classical", "--t-final", "1e12",
+                "--outdir", str(tmp_path)]) == 0
+    results = strict_json(tmp_path / "contract_classical.json")["results"]
+    assert results["n_levels"] == [16, 52, 108, 666]
+    assert max(results["max_deviation"]) <= 1e-6
 
 
 @pytest.mark.parametrize("argv, loaded", [

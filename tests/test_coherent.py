@@ -120,6 +120,16 @@ def test_fock_constructions_share_one_per_axis_rule(build):
                               "axis (d=1), got d=2")
 
 
+@pytest.mark.parametrize("kernel", [coherent.overlap_analytic,
+                                    coherent.matrix_element_xp],
+                         ids=["overlap", "matrix-element"])
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+def test_kernels_refuse_an_hbar_that_is_not_positive(kernel, hbar):
+    lab = coherent.CoherentLabel(0.5, -0.25)
+    with pytest.raises(ValidationError, match="hbar must be positive"):
+        kernel(lab, lab, hbar)
+
+
 @pytest.mark.parametrize("bad", [100.0, math.nan], ids=["100", "nan"])
 def test_coherent_label_keeps_no_caller_array(bad):
     # writing the caller's array after construction once left the overlap

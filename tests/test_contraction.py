@@ -494,7 +494,8 @@ def test_eigen_propagate_memory_stays_linear_or_bounded():
 def test_eigen_propagate_refuses_a_phase_that_is_not_finite(kind, t):
     # one check covers the diagonal (harmonic) and the banded blocks
     bands = fock.hamiltonian_bands(kind, 8)
-    with pytest.raises(PrecisionError, match="the phase E t is not finite"):
+    with pytest.raises(PrecisionError,
+                       match="the phase E t keeps no fractional digit"):
         contraction.eigen_propagate(bands, np.eye(8)[0], [0.0, t])
 
 

@@ -291,6 +291,25 @@ def test_group_values_are_read_only():
     assert repr(pt) == "SpaceTime(t=0.0, x=array([2., 2., 2.]))"
 
 
+def test_array_reads_leave_the_checked_floats_alone():
+    # vars() holds what the constructor or the group law checked, and
+    # nothing more: every read builds a new read-only array of it
+    g = random_element(np.random.default_rng(3))
+    pt = coset.SpaceTime(0.25, (1.0, 2.0, 3.0))
+    values = [(g, "VRA"), (pt, "x"), (coset.Config((1.0, 2.0, 3.0), 0.5), "x"),
+              (coset.Phase((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), 0.5), "px"),
+              (coherent.CoherentLabel(0.5, -0.25), "px"),
+              (coset.apply_galilei(g, pt), "x"), (coset.compose(g, g), "VRA")]
+    for obj, names in values:
+        before = dict(vars(obj))
+        for name in names:
+            first, second = getattr(obj, name), getattr(obj, name)
+            np.testing.assert_array_equal(first, second)
+            assert first is not second
+            assert not (first.flags.writeable or second.flags.writeable)
+        assert vars(obj) == before
+
+
 @pytest.mark.parametrize("a, message", [
     (np.diag([0.0, np.inf]), "expm: matrix has non-finite entries"),
     (np.diag([np.nan, 0.0]), "expm: matrix has non-finite entries"),

@@ -61,6 +61,16 @@ def test_spec_validation():
                                  1.0, 0.1)
 
 
+def test_spec_rounds_a_step_that_does_not_divide_t_final_up():
+    # 1 / 0.3 is not within 1e-9 of a whole step count: 4 steps of 0.25
+    spec = projective.EvolutionSpec(fock.build_hamiltonian("harmonic", 8),
+                                    1.0, 0.3, store_every=3)
+    assert (spec.n_steps, spec.dt_actual) == (4, 0.25)
+    idx, times = projective._sample_times(spec)
+    assert idx.tolist() == [0, 3, 4]
+    assert times.tolist() == [0.0, 0.75, 1.0]
+
+
 def test_spec_rejects_unstable_step():
     # the RK4 amplification 1 + z + ... + z^4/4! has modulus 1 at z = i*limit
     y = projective.STABILITY_LIMIT
