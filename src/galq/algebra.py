@@ -151,8 +151,9 @@ def jacobi_defect(tbl):
 
     Zero (to roundoff) for every valid Lie algebra table.
     """
-    # [[G_a, G_b], G_x] coefficient of G_f: sum_e c_ab^e c_ex^f
-    d = np.einsum("abe,exf->abxf", tbl.c, tbl.c)
+    # [[G_a, G_b], G_x] coefficient of G_f: sum_e c_ab^e c_ex^f, one matmul
+    n = tbl.dim
+    d = (tbl.c.reshape(n * n, n) @ tbl.c.reshape(n, n * n)).reshape((n,) * 4)
     resid = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
     return float(np.max(np.abs(resid))) if resid.size else 0.0
 

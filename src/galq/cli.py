@@ -5,13 +5,13 @@ Subcommands: ``algebra verify``, ``coset orbit``, ``coherent overlap``,
 
 Output contract
   * every run ends in :func:`_finish`, the one place that opens output
-    files: it writes a JSON summary {"config", "results", "pass"} and the
-    run's plot-ready data files (CSV, and the structure tables of
-    ``algebra verify``), or nothing when a result is NaN or infinite;
+    files and decides PASS from the run's gates: it writes a JSON summary
+    {"config", "results", "pass"} and the plot-ready data files (CSV, and
+    ``algebra verify``'s tables), or nothing when a result is not finite;
   * every output embeds the fully resolved config and the tool version;
   * identical configs (same seed) produce byte-identical outputs;
-  * exit code 0 on success, 1 on input/validation errors, 2 when a
-    numerical tolerance check fails.
+  * exit code 0 on success, 1 on input/validation errors, 2 when a gate
+    fails (a results value past its bound; stderr names each such gate).
 
 Config precedence: command-line flags > ``--config`` file (``key = value``
 lines, ``#`` comments; a key that is not a flag of the subcommand, or a
@@ -62,18 +62,12 @@ def _fmt(x):
 
 
 def _jsonable(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()  # Python lists and numbers
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj
@@ -133,6 +127,11 @@ _COMMON = {
                     "(env GALQ_OUTDIR overrides the default)"),
     "seed": _Flag(int, 0, help="seed for randomized checks"),
 }
+
+# Gate bounds that no flag sets; --tol, --numeric-tol, --min-ratio set others
+DRIFT_TOL = 1e-8  # evolve: norm_drift and energy_drift of RK4
+RAY_TOL = 1e-12  # evolve: ray_sensitivity
+SELF_OVERLAP_TOL = 1e-10  # coherent overlap: max_self_overlap_error
 
 _SCHEMAS = {
     "algebra_verify": {
@@ -250,15 +249,13 @@ def _resolve_config(subcommand, args, file_cfg):
 
 
 def _config_lines(cfg):
-    lines = []
     for key in sorted(cfg):
         val = cfg[key]
         if isinstance(val, list):
             val = ",".join(_fmt(v) for v in val)
         elif isinstance(val, float):
             val = _fmt(val)
-        lines.append(f"# {key} = {val}")
-    return lines
+        yield f"# {key} = {val}"
 
 
 def _csv(header, rows):
@@ -284,21 +281,36 @@ def _nonfinite_key(obj, key):
     return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
 
 
-def _finish(cfg, stem, results, ok, files, summary, failure):
-    """End a run; the one place that opens output files.
+class _Gate(NamedTuple):
+    """A results value and its bound: value <= bound, or >= when lower is
+    set, so a NaN fails; None, not measured (null in results), passes."""
 
-    A NaN or infinity in the results raises before any file is opened (the
-    config cannot hold one: _float rejects them).  Then each data file in
-    files (name -> iterable of lines) is streamed under the config lines,
-    ``stem.json`` gets {"config", "results", "pass"} as strict JSON, the
-    summary is printed, and ToleranceError(failure) is raised unless ok."""
+    name: str  # the results key that holds value
+    value: float | None
+    bound: float
+    lower: bool = False
+
+    def fails(self):
+        v, b = self.value, self.bound
+        return v is not None and not (v >= b if self.lower else v <= b)
+
+
+def _finish(cfg, stem, results, files, checks):
+    """End a run (see the output contract above).  A NaN or infinity in the
+    results raises before any file is opened (_float keeps them out of the
+    config).  Then each data file in files (name -> iterable of lines) is
+    streamed under the config lines, ``stem.json`` gets {"config",
+    "results", "pass"} as strict JSON, each (summary line, gates) of checks
+    is printed with PASS when all its gates pass, and ToleranceError names
+    every gate that failed, if one did."""
     results = _jsonable(results)
     bad = _nonfinite_key(results, "results")
     if bad is not None:
         raise GalqError(f"{stem}.json not written: {bad} is not finite")
+    failed = [g for _, gates in checks for g in gates if g.fails()]
     outputs = {name: itertools.chain(_config_lines(cfg), lines)
                for name, lines in files.items()}
-    doc = {"config": _jsonable(cfg), "results": results, "pass": bool(ok)}
+    doc = {"config": _jsonable(cfg), "results": results, "pass": not failed}
     outputs[f"{stem}.json"] = [json.dumps(doc, indent=2, sort_keys=True,
                                           allow_nan=False)]
     for name, lines in outputs.items():
@@ -306,9 +318,12 @@ def _finish(cfg, stem, results, ok, files, summary, failure):
                   newline="") as fh:
             for line in lines:
                 fh.write(line + "\n")
-    print(summary)
-    if not ok:
-        raise ToleranceError(failure)
+    for line, gates in checks:
+        print(line, "->", "FAIL" if any(map(_Gate.fails, gates)) else "PASS")
+    if failed:
+        raise ToleranceError("; ".join(
+            f"{g.name} {g.value:.3e} {'<' if g.lower else '>'} {_fmt(g.bound)}"
+            for g in failed))
 
 
 def _vec(text, name, size=3):
@@ -334,13 +349,15 @@ def run_algebra_verify(cfg):
     else:
         tables = {"g3s": algebra.g3s_table(), "hr3": algebra.hr3_table()}
     worst = ("", 0.0)
+    gates = []
     for name, tbl in tables.items():
+        has_xp = "X_1" in tbl.names and "P_1" in tbl.names
         entry = {"dim": tbl.dim, "jacobi_residual": algebra.jacobi_defect(tbl)}
         blocks.append(algebra.dumps(tbl, f"table {name}"))
         for k in cfg["k"]:
             ctbl = algebra.contract(tbl, algebra.ContractionParams(k=k))
             entry[f"jacobi_residual_k={_fmt(k)}"] = algebra.jacobi_defect(ctbl)
-            if "X_1" in tbl.names and "P_1" in tbl.names:
+            if has_xp:
                 br = algebra.bracket("X_1", "P_1", ctbl)
                 entry[f"x1p1_coeff_I_k={_fmt(k)}"] = br.get("I", 0.0)
             blocks.append(algebra.dumps(
@@ -348,7 +365,6 @@ def run_algebra_verify(cfg):
         if algebra.default_scaled_set(tbl):
             lim = algebra.contraction_limit(tbl)
             entry["jacobi_residual_limit"] = algebra.jacobi_defect(lim)
-            has_xp = "X_1" in tbl.names and "P_1" in tbl.names
             entry["limit_x1p1"] = algebra.bracket("X_1", "P_1", lim) \
                 if has_xp else {}
             entry["limit_central_defect"] = algebra.central_defect(lim)
@@ -356,17 +372,16 @@ def run_algebra_verify(cfg):
                 lim, f"table {name} contraction limit"))
         results["tables"][name] = entry
         for key, val in entry.items():
-            if key.startswith("jacobi") and val > worst[1]:
-                worst = (f"{name}:{key}", val)
-    ok = worst[1] <= tol
-    results["worst_identity"] = worst[0]
-    results["worst_residual"] = worst[1]
-    results["tolerance"] = tol
-    _finish(cfg, "algebra_verify", results, ok,
+            if key.startswith("jacobi"):
+                gates.append(_Gate(f"tables.{name}.{key}", val, tol))
+                if val > worst[1]:
+                    worst = (f"{name}:{key}", val)
+    results.update(worst_identity=worst[0], worst_residual=worst[1],
+                   tolerance=tol)
+    _finish(cfg, "algebra_verify", results,
             {"algebra_tables.txt": "\n".join(blocks).splitlines()},
-            f"algebra verify: worst residual {worst[1]:.3e} "
-            f"({worst[0] or 'none'}) -> {'PASS' if ok else 'FAIL'}",
-            f"Jacobi residual {worst[1]:.3e} > {tol:.1e} for {worst[0]}")
+            [(f"algebra verify: worst residual {worst[1]:.3e} "
+              f"({worst[0] or 'none'})", gates)])
 
 
 def run_coset_orbit(cfg):
@@ -384,9 +399,7 @@ def run_coset_orbit(cfg):
         pt_vals = _vec(cfg["point"] or "0,0,0,0", "spacetime point t,x1,x2,x3", 4)
         pt = coset.SpaceTime(pt_vals[0], pt_vals[1:])
         names = ["t", "x1", "x2", "x3"]
-
-        def step(pt):
-            return coset.apply_galilei(g, pt)
+        step = functools.partial(coset.apply_galilei, g)
     else:
         e = coset.InfinitesimalElement(
             omega=coset.omega_from_vector(_vec(cfg["omega"], "omega")),
@@ -402,10 +415,9 @@ def run_coset_orbit(cfg):
                            "phase point p1,p2,p3,x1,x2,x3,theta", 7)
             pt = coset.Phase(pt_vals[0:3], pt_vals[3:6], pt_vals[6])
             names = ["p1", "p2", "p3", "x1", "x2", "x3", "theta"]
-        m = coset.exp_generator(e, pt, t=dt)  # one exponential per orbit
-
-        def step(pt):
-            return coset.apply_matrix(m, pt)
+        # one exponential per orbit
+        step = functools.partial(coset.apply_matrix,
+                                 coset.exp_generator(e, pt, t=dt))
     header = ["step", *names]
     rows = [[0, *coset.coordinates(pt)]]
     for i in range(1, steps + 1):
@@ -413,9 +425,9 @@ def run_coset_orbit(cfg):
         rows.append([i, *coset.coordinates(pt)])
     results = {"n_rows": len(rows), "columns": header,
                "final_row": rows[-1][1:]}
-    _finish(cfg, "coset_orbit", results, True,
+    _finish(cfg, "coset_orbit", results,
             {"coset_orbit.csv": _csv(header, rows)},
-            f"coset orbit: {kind}, {steps} steps -> PASS", None)
+            [(f"coset orbit: {kind}, {steps} steps", [])])
 
 
 def run_coherent_overlap(cfg):
@@ -426,15 +438,12 @@ def run_coherent_overlap(cfg):
             f"--grid-points must be >= 1, got {cfg['grid_points']}")
     pts = np.linspace(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
     l1 = coherent.CoherentLabel(cfg["p1"], cfg["x1"])
-    rows = []
-    worst_gap = 0.0
-    worst_self = 0.0
+    rows, worst_gap, worst_self = [], 0.0, 0.0
     check = cfg["check_numeric"]
-    if check:
-        if hbar != 1.0:
-            raise ValidationError(
-                "numeric cross-check runs in internal units (hbar = 1)")
-        s1 = coherent.coherent_state(l1, n).amplitudes
+    if check and hbar != 1.0:
+        raise ValidationError(
+            "numeric cross-check runs in internal units (hbar = 1)")
+    s1 = coherent.coherent_state(l1, n).amplitudes if check else None
     for p2 in pts:
         for x2 in pts:
             l2 = coherent.CoherentLabel(p2, x2)
@@ -452,38 +461,33 @@ def run_coherent_overlap(cfg):
                                        abs(complex(np.vdot(s1, s2)) - ov))
             self_ov = coherent.overlap_analytic(l2, l2, hbar)
             worst_self = np.maximum(worst_self, abs(self_ov - 1.0))
-    ok = worst_self <= 1e-10 and (not check or worst_gap <= cfg["tol"])
     scan = None
     if cfg["residual_scan"]:
-        radii = _floats(cfg["residual_scan"])
         scan = []
-        for radius in radii:
+        for radius in _floats(cfg["residual_scan"]):
             res = coherent.overcompleteness_residual(
                 n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
             scan.append([radius, cfg["residual_step"], res.residual,
                          res.warning])
-    results = {"max_numeric_gap": worst_gap if check else None,
-               "max_self_overlap_error": worst_self,
-               "n_pairs": len(rows),
-               "residual_scan": scan}
+    gap = worst_gap if check else None
+    results = {"max_numeric_gap": gap, "max_self_overlap_error": worst_self,
+               "n_pairs": len(rows), "residual_scan": scan}
     files = {"coherent_overlap.csv": _csv(
         ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)}
     if scan is not None:
         files["coherent_residual_scan.csv"] = _csv(
             ["radius", "step", "residual"], [r[:3] for r in scan])
-    _finish(cfg, "coherent_overlap", results, ok, files,
-            f"coherent overlap: numeric gap "
-            f"{worst_gap:.3e} -> {'PASS' if ok else 'FAIL'}",
-            "overlap kernel check failed")
+    _finish(cfg, "coherent_overlap", results, files,
+            [(f"coherent overlap: numeric gap {worst_gap:.3e}",
+              [_Gate("max_self_overlap_error", worst_self, SELF_OVERLAP_TOL),
+               _Gate("max_numeric_gap", gap, cfg["tol"])])])
 
 
 def run_evolve(cfg):
-    if cfg["hamiltonian_file"]:
-        h_op = fock.load_operator_csv(cfg["hamiltonian_file"])
-        n = h_op.n_levels
-    else:
-        n = cfg["n_levels"]
-        h_op = fock.build_hamiltonian(cfg["kind"], n, 1.0, lam=cfg["lam"])
+    h_op = fock.load_operator_csv(cfg["hamiltonian_file"]) \
+        if cfg["hamiltonian_file"] else fock.build_hamiltonian(
+            cfg["kind"], cfg["n_levels"], 1.0, lam=cfg["lam"])
+    n = h_op.n_levels
     spec = projective.EvolutionSpec(h_op, cfg["t_final"], cfg["dt"],
                                     store_every=cfg["store_every"])
     psi0 = coherent.coherent_state(
@@ -498,8 +502,6 @@ def run_evolve(cfg):
     x_op, p_op = fock.build_xp(n, 1.0)
     _, ray_sens = projective.ray_invariants(psi0, x_op, p_op, h_op,
                                             seed=cfg["seed"])
-    ok = (deviation <= cfg["tol"] and norm_drift <= 1e-8
-          and energy_drift <= 1e-8 and ray_sens <= 1e-12)
     results = {"max_deviation": deviation, "norm_drift": norm_drift,
                "energy_drift": energy_drift, "ray_sensitivity": ray_sens,
                "n_samples": int(straj.times.size),
@@ -518,10 +520,12 @@ def run_evolve(cfg):
             straj.times,
             *projective.amplitudes_to_coordinates(straj.states)))),
     }
-    _finish(cfg, "evolve", results, ok, files,
-            f"evolve: deviation {deviation:.3e}, norm drift {norm_drift:.3e}, "
-            f"energy drift {energy_drift:.3e} -> {'PASS' if ok else 'FAIL'}",
-            "evolution equivalence check failed")
+    gates = [_Gate(key, results[key], bound) for key, bound in (
+        ("max_deviation", cfg["tol"]), ("norm_drift", DRIFT_TOL),
+        ("energy_drift", DRIFT_TOL), ("ray_sensitivity", RAY_TOL))]
+    _finish(cfg, "evolve", results, files,
+            [(f"evolve: deviation {deviation:.3e}, norm drift "
+              f"{norm_drift:.3e}, energy drift {energy_drift:.3e}", gates)])
 
 
 def _parse_pairs(text):
@@ -543,10 +547,9 @@ def run_contract_sweep(cfg):
     pairs = _parse_pairs(cfg["pairs"])
     spec = contraction.SweepSpec(cfg["hbar_grid"], pairs)
     reports = contraction.overlap_decay_sweep(spec)
-    ok = True
-    summary = []
+    summary, checks, files = [], [], {}
     for i, rep in enumerate(reports):
-        gap = rep.max_numeric_gap
+        gap = None if math.isnan(rep.max_numeric_gap) else rep.max_numeric_gap
         entry = {"pair_index": i,
                  "labels": {"p1": rep.pair[0].p[0], "x1": rep.pair[0].x[0],
                             "p2": rep.pair[1].p[0], "x2": rep.pair[1].x[0]},
@@ -555,25 +558,20 @@ def run_contract_sweep(cfg):
                  else rep.slope_stderr,
                  "expected_slope": rep.expected_slope,
                  "slope_rel_error": rep.slope_rel_error,
-                 "max_numeric_gap": None if math.isnan(gap) else gap,
+                 "max_numeric_gap": gap,
                  "n_levels": rep.n_levels}
-        pair_ok = rep.slope_rel_error <= cfg["tol"]
-        if not math.isnan(gap):
-            pair_ok = pair_ok and gap <= cfg["numeric_tol"]
-        entry["pass"] = pair_ok
-        ok = ok and pair_ok
+        gates = [_Gate(f"pairs[{i}].slope_rel_error", rep.slope_rel_error,
+                       cfg["tol"]),
+                 _Gate(f"pairs[{i}].max_numeric_gap", gap, cfg["numeric_tol"])]
+        entry["pass"] = not any(map(_Gate.fails, gates))
         summary.append(entry)
-    files = {f"contract_sweep_pair{i}.csv": _csv(
-        ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
-        zip(rep.hbar, rep.abs_overlap, rep.offdiag_x, rep.offdiag_p))
-        for i, rep in enumerate(reports)}
-    _finish(cfg, "contract_sweep", {"pairs": summary}, ok, files,
-            "\n".join(f"contract sweep pair {entry['pair_index']}: slope "
-                      f"{entry['fitted_slope']:.6f} vs "
-                      f"{entry['expected_slope']:.6f} "
-                      f"-> {'PASS' if entry['pass'] else 'FAIL'}"
-                      for entry in summary),
-            "fitted decay slope outside tolerance")
+        checks.append((f"contract sweep pair {i}: slope "
+                       f"{rep.fitted_slope:.6f} vs {rep.expected_slope:.6f}",
+                       gates))
+        files[f"contract_sweep_pair{i}.csv"] = _csv(
+            ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
+            zip(rep.hbar, rep.abs_overlap, rep.offdiag_x, rep.offdiag_p))
+    _finish(cfg, "contract_sweep", {"pairs": summary}, files, checks)
 
 
 def run_contract_classical(cfg):
@@ -604,26 +602,26 @@ def run_contract_classical(cfg):
     results = {"hbar": rep.hbar, "max_deviation": rep.max_deviation,
                "n_levels": rep.n_levels, "edge_mass": rep.edge_mass}
     if cfg["kind"] == "harmonic":
-        ok = bool(np.all(rep.max_deviation <= cfg["tol"]))
+        gates = [_Gate(f"max_deviation[{i}]", d, cfg["tol"])
+                 for i, d in enumerate(rep.max_deviation)]
         results["criterion"] = f"all deviations <= {_fmt(cfg['tol'])}"
     else:
         # no ratio when the last deviation is 0, which passes it
         ratio = float(rep.max_deviation[0] / rep.max_deviation[-1]) \
             if rep.max_deviation[-1] > 0 else None
-        mono = bool(np.all(np.diff(rep.max_deviation) <= 0))
-        ok = (ratio is None or ratio >= cfg["min_ratio"]) and mono
-        results["first_to_last_ratio"] = ratio
-        results["nonincreasing"] = mono
-        results["criterion"] = (f"deviation ratio >= {_fmt(cfg['min_ratio'])} "
-                                "and nonincreasing")
-    _finish(cfg, "contract_classical", results, ok,
+        # nonincreasing: the deviations' largest step is <= 0
+        step = np.max(np.diff(rep.max_deviation))
+        gates = [_Gate("first_to_last_ratio", ratio, cfg["min_ratio"], True),
+                 _Gate("nonincreasing", step, 0.0)]
+        results.update(first_to_last_ratio=ratio, nonincreasing=step <= 0,
+                       criterion=f"deviation ratio >= {_fmt(cfg['min_ratio'])}"
+                       " and nonincreasing")
+    _finish(cfg, "contract_classical", results,
             {"contract_classical.csv": _csv(
-                ["hbar", "max_traj_dev"],
-                zip(rep.hbar, rep.max_deviation))},
-            f"contract classical ({cfg['kind']}): deviations "
-            + " ".join(f"{d:.3e}" for d in rep.max_deviation)
-            + f" -> {'PASS' if ok else 'FAIL'}",
-            "classical emergence check failed")
+                ["hbar", "max_traj_dev"], zip(rep.hbar, rep.max_deviation))},
+            [("contract classical ({}): deviations {}".format(
+                cfg["kind"], " ".join(f"{d:.3e}" for d in rep.max_deviation)),
+              gates)])
 
 
 _RUNNERS = {

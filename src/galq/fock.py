@@ -68,7 +68,7 @@ class FockOperator:
         if m.shape != (self.n_levels, self.n_levels):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match n_levels={self.n_levels}")
-        _check_hbar(self.hbar)
+        object.__setattr__(self, "hbar", _check_hbar(self.hbar))
         object.__setattr__(self, "matrix", m)
 
     def is_hermitian(self, tol):

@@ -4,7 +4,8 @@ the closed forms in galq.coherent and unitary to roundoff by construction,
 the reference Hamiltonians as products of the X and P matrices, independent
 of the closed-form bands of galq.fock, the array-based RK4 of the quartic
 classical reference, the numpy and the first float forms of the Galilei
-group law, the numpy form of the X/P matrix-element kernel, the dense
+group law, the numpy form of the X/P matrix-element kernel, the einsum
+form of the Jacobi residual, the dense
 ladder matrix and the additive part of the Heisenberg-Weyl label product,
 plus number states and variances on the truncated Fock space."""
 
@@ -13,6 +14,14 @@ import numpy as np
 from galq import coherent, coset, fock
 from galq.errors import ValidationError
 from galq.projective import StateTrajectory
+
+
+def jacobi_defect_einsum(tbl):
+    """Jacobi residual of a structure table by np.einsum: the form that
+    algebra.jacobi_defect writes as one matrix product."""
+    d = np.einsum("abe,exf->abxf", tbl.c, tbl.c)
+    resid = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
+    return float(np.max(np.abs(resid))) if resid.size else 0.0
 
 
 def ladder_matrix(n_levels):

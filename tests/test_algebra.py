@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from galq import algebra
 from galq.errors import LimitDivergenceError, ParseError, ValidationError
+from oracles import jacobi_defect_einsum
 
 EPS = [[0, 0, 0], [0, 0, 1], [0, -1, 0]], \
       [[0, 0, -1], [0, 0, 0], [1, 0, 0]], \
@@ -83,14 +84,32 @@ def test_jacobi_defect_zero_for_shipped_tables():
     assert algebra.jacobi_defect(algebra.hr3_table()) == 0.0
 
 
-def test_jacobi_defect_detects_broken_table():
+def _broken_g3s():
     # corrupt one bracket: [J_1, J_2] = J_3 -> 2 J_3 breaks Jacobi
     tbl = algebra.g3s_table()
     brackets = {(a, b): algebra.bracket(a, b, tbl)
                 for i, a in enumerate(tbl.names) for b in tbl.names[i + 1:]}
     brackets[("J_1", "J_2")] = {"J_3": 2.0}
-    bad = algebra.StructureTable(tbl.names, brackets)
-    assert algebra.jacobi_defect(bad) > 0.5
+    return algebra.StructureTable(tbl.names, brackets)
+
+
+def test_jacobi_defect_detects_broken_table():
+    assert algebra.jacobi_defect(_broken_g3s()) > 0.5
+
+
+@pytest.mark.parametrize("build", [algebra.g3s_table, algebra.hr3_table],
+                         ids=["g3s", "hr3"])
+def test_jacobi_defect_is_bitwise_the_einsum_form(build):
+    # the one matrix product sums the same terms as the einsum form, on the
+    # shipped tables, their contractions over 150 decades of k and limits
+    tbl = build()
+    tables = [tbl, algebra.contraction_limit(tbl)] + [
+        algebra.contract(tbl, algebra.ContractionParams(k=k))
+        for k in (1.0, 1.3, 2.0, 7.7, 10.0, 1000.0, 3.1e7, 1e150)]
+    for t in tables:
+        assert algebra.jacobi_defect(t) == jacobi_defect_einsum(t)
+    bad = _broken_g3s()
+    assert algebra.jacobi_defect(bad) == jacobi_defect_einsum(bad) > 0.5
 
 
 def test_antisymmetry_violation_rejected():

@@ -86,9 +86,10 @@ def test_algebra_verify_table_failing_jacobi_exits_2(tmp_path, capsys):
     assert doc["pass"] is False
     assert doc["results"]["worst_identity"] == "custom:jacobi_residual"
     assert doc["results"]["worst_residual"] == 1.0
+    # each failing gate is named with its value and bound
     assert capsys.readouterr().err == (
-        "galq: tolerance failure: Jacobi residual 1.000e+00 > 1.0e-12 for "
-        "custom:jacobi_residual\n")
+        "galq: tolerance failure: tables.custom.jacobi_residual 1.000e+00 > "
+        "1e-12; tables.custom.jacobi_residual_k=10.0 1.000e+00 > 1e-12\n")
 
 
 def test_coset_orbit_boost_grows_linearly(tmp_path):
@@ -317,8 +318,8 @@ def test_nonfinite_result_is_not_written(tmp_path, capsys):
     cfg = {"outdir": str(tmp_path), "tol": 1e-6}
     with pytest.raises(cli.GalqError,
                        match=r"x\.json not written: results\.a\[1\] is not finite"):
-        cli._finish(cfg, "x", {"a": [1.0, float("nan")]}, True,
-                    {"x.csv": cli._csv(["a"], [[1.0]])}, "x: PASS", None)
+        cli._finish(cfg, "x", {"a": [1.0, float("nan")]},
+                    {"x.csv": cli._csv(["a"], [[1.0]])}, [("x", [])])
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out == ""
 

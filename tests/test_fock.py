@@ -216,6 +216,18 @@ def test_operator_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.matrix, h.matrix)
 
 
+def test_operator_csv_roundtrip_of_a_numpy_hbar(tmp_path):
+    # the operator keeps hbar as the Python float it checked, so its tag
+    # is written as a number that load_operator_csv reads back
+    h = fock.build_hamiltonian("harmonic", 4, np.float64(0.5))
+    assert type(h.hbar) is float
+    path = tmp_path / "h.csv"
+    fock.save_operator_csv(h, path)
+    back = fock.load_operator_csv(path)
+    assert back.hbar == 0.5
+    assert back.matrix.tobytes() == h.matrix.tobytes()
+
+
 def test_operator_matrices_are_immutable():
     x, _ = fock.build_xp(4, 1.0)
     with pytest.raises(ValueError):
