@@ -436,6 +436,10 @@ def run_coherent_overlap(cfg):
     if cfg["grid_points"] < 1:
         raise ValidationError(
             f"--grid-points must be >= 1, got {cfg['grid_points']}")
+    try:  # the text is echoed as given; its radii are checked before any work
+        radii = _floats(cfg["residual_scan"]) if cfg["residual_scan"] else []
+    except ValueError as exc:
+        raise ValidationError(f"residual_scan: {exc}") from exc
     pts = np.linspace(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
     l1 = coherent.CoherentLabel(cfg["p1"], cfg["x1"])
     rows, worst_gap, worst_self = [], 0.0, 0.0
@@ -461,20 +465,17 @@ def run_coherent_overlap(cfg):
                                        abs(complex(np.vdot(s1, s2)) - ov))
             self_ov = coherent.overlap_analytic(l2, l2, hbar)
             worst_self = np.maximum(worst_self, abs(self_ov - 1.0))
-    scan = None
-    if cfg["residual_scan"]:
-        scan = []
-        for radius in _floats(cfg["residual_scan"]):
-            res = coherent.overcompleteness_residual(
-                n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
-            scan.append([radius, cfg["residual_step"], res.residual,
-                         res.warning])
+    scan = []
+    for radius in radii:
+        res = coherent.overcompleteness_residual(
+            n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
+        scan.append([radius, cfg["residual_step"], res.residual, res.warning])
     gap = worst_gap if check else None
     results = {"max_numeric_gap": gap, "max_self_overlap_error": worst_self,
-               "n_pairs": len(rows), "residual_scan": scan}
+               "n_pairs": len(rows), "residual_scan": scan or None}
     files = {"coherent_overlap.csv": _csv(
         ["p1", "x1", "p2", "x2", "re", "im", "abs"], rows)}
-    if scan is not None:
+    if scan:
         files["coherent_residual_scan.csv"] = _csv(
             ["radius", "step", "residual"], [r[:3] for r in scan])
     _finish(cfg, "coherent_overlap", results, files,

@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, starmap
 
 import numpy as np
 
 from .coherent import (
     CoherentLabel,
+    _check_axis,
     coherent_amplitudes,
     matrix_element_xp,
     overlap_analytic,
@@ -72,7 +74,8 @@ def unscaled_label(label, hbar):
     carrying the given tilde label (p, x)."""
     fock._check_hbar(hbar)
     s = math.sqrt(hbar)
-    return CoherentLabel(label.p / s, label.x / s, label.theta, label.d)
+    x, p = ([v / s for v in axis] for axis in label._floats)
+    return CoherentLabel(p, x, label.theta, label.d)
 
 
 def _internal_occupation(tilde, hbar):
@@ -85,8 +88,7 @@ def _internal_occupation(tilde, hbar):
 
 
 def _labels_distinct(l1, l2):
-    return (np.max(np.abs(l1.p - l2.p)) > 0
-            or np.max(np.abs(l1.x - l2.x)) > 0)
+    return l1._floats != l2._floats
 
 
 def fock_overlap_series(l1, l2, hbar, n_levels):
@@ -157,50 +159,45 @@ class DecayReport:
 
 
 def label_separation_sq(l1, l2):
-    return float(np.sum((l1.x - l2.x) ** 2) + np.sum((l1.p - l2.p) ** 2))
+    diffs = [a - b for u, v in zip(l1._floats, l2._floats)
+             for a, b in zip(u, v)]
+    return sum(d * d for d in diffs)
 
 
-def matrix_element_tables(labels, hbar):
-    """Gram-weighted tables M[i, j] = <l_i| X |l_j> and same for P over a
-    tilde label set, from the closed forms."""
-    n = len(labels)
-    mx = np.zeros((n, n), dtype=complex)
-    mp = np.zeros((n, n), dtype=complex)
-    for i, li in enumerate(labels):
-        for j, lj in enumerate(labels):
-            mx[i, j], mp[i, j] = matrix_element_xp(li, lj, hbar)
-    return mx, mp
+def _offdiag_ratios(labels, hbar):
+    """(rx, rp): the largest off-diagonal |X| and |P| table entries over the
+    label scale, from one closed-form call per unordered pair i < j:
+    <l_j|X|l_i> == conj <l_i|X|l_j>, so both have the same magnitude bits."""
+    mags = np.abs(np.array([matrix_element_xp(li, lj, hbar)
+                            for li, lj in combinations(labels, 2)]))
+    rx, rp = np.max(mags, axis=0).tolist()
+    scale = max(abs(v) for lab in labels for axis in lab._floats for v in axis)
+    return rx / scale, rp / scale
 
 
-def diagonalization_diagnostic(labels, hbar, split=False):
+def diagonalization_diagnostic(labels, hbar):
     """Off-diagonal suppression ratio of the scaled X and P tables.
 
     Ratio = max off-diagonal magnitude over the label scale (the largest
     |x| or |p| entry, which is exactly the largest diagonal magnitude of
     the two tables).  Tends to 0 as hbar -> 0: the label set diagonalizes
     both operators and the representation splits over the coherent rays.
+    The labels must be on one axis (d = 1), at least two and distinct.
     """
     labels = list(labels)
+    for label in labels:
+        _check_axis(label)
     if len(labels) < 2:
         raise ValidationError("need at least two labels (no off-diagonal otherwise)")
-    for i, li in enumerate(labels):
-        for lj in labels[i + 1:]:
-            if not _labels_distinct(li, lj):
-                raise ValidationError("coincident labels in the diagnostic set")
-    scale = max(max(np.max(np.abs(l.x)), np.max(np.abs(l.p))) for l in labels)
-    if scale == 0:
-        raise ValidationError("all labels at the origin; no diagonal scale")
-    mx, mp = matrix_element_tables(labels, hbar)
-    off = ~np.eye(len(labels), dtype=bool)
-    rx = float(np.max(np.abs(mx[off]))) / scale
-    rp = float(np.max(np.abs(mp[off]))) / scale
-    if split:
-        return rx, rp
-    return max(rx, rp)
+    if not all(starmap(_labels_distinct, combinations(labels, 2))):
+        raise ValidationError("coincident labels in the diagnostic set")
+    return max(_offdiag_ratios(labels, hbar))
 
 
 def overlap_decay_sweep(spec):
     """One DecayReport per label pair (list in pair order)."""
+    for label in chain(*spec.label_pairs):
+        _check_axis(label)
     reports = []
     for l1, l2 in spec.label_pairs:
         if not _labels_distinct(l1, l2):
@@ -214,7 +211,7 @@ def overlap_decay_sweep(spec):
         ns = []
         for i, h in enumerate(hbar):
             absov[i] = abs(overlap_analytic(l1, l2, h))
-            rx[i], rp[i] = diagonalization_diagnostic([l1, l2], h, split=True)
+            rx[i], rp[i] = _offdiag_ratios((l1, l2), h)
             # Each state's discarded tail is <= fock.TAIL_TOL, so by
             # Cauchy-Schwarz so is the series' truncation error.
             n = fock.start_cutoff(max(_internal_occupation(l1, h),

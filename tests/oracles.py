@@ -4,8 +4,9 @@ the closed forms in galq.coherent and unitary to roundoff by construction,
 the reference Hamiltonians as products of the X and P matrices, independent
 of the closed-form bands of galq.fock, the array-based RK4 of the quartic
 classical reference, the numpy and the first float forms of the Galilei
-group law, the numpy form of the X/P matrix-element kernel, the einsum
-form of the Jacobi residual, the dense
+group law, the numpy form of the X/P matrix-element kernel, the full
+n x n X/P tables of a label set and the off-diagonal ratios read from
+them, the einsum form of the Jacobi residual, the dense
 ladder matrix and the additive part of the Heisenberg-Weyl label product,
 plus number states and variances on the truncated Fock space."""
 
@@ -196,3 +197,28 @@ def matrix_element_xp(l1, l2, hbar=1.0):
     if l1.d == 1:
         return complex(mx[0]), complex(mp[0])
     return mx, mp
+
+
+def matrix_element_tables(labels, hbar):
+    """Gram-weighted tables M[i, j] = <l_i| X |l_j> and same for P over a
+    tilde label set, one galq.coherent.matrix_element_xp call per entry."""
+    n = len(labels)
+    mx = np.zeros((n, n), dtype=complex)
+    mp = np.zeros((n, n), dtype=complex)
+    for i, li in enumerate(labels):
+        for j, lj in enumerate(labels):
+            mx[i, j], mp[i, j] = coherent.matrix_element_xp(li, lj, hbar)
+    return mx, mp
+
+
+def table_offdiag_ratios(labels, hbar):
+    """(rx, rp): the largest off-diagonal magnitude of each full table of
+    matrix_element_tables over the largest |x| or |p| entry, read as numpy
+    arrays; what galq.contraction must reproduce bit for bit from one
+    matrix element per unordered label pair."""
+    mx, mp = matrix_element_tables(labels, hbar)
+    scale = max(max(np.max(np.abs(lab.x)), np.max(np.abs(lab.p)))
+                for lab in labels)
+    off = ~np.eye(len(labels), dtype=bool)
+    return (float(np.max(np.abs(mx[off]))) / scale,
+            float(np.max(np.abs(mp[off]))) / scale)

@@ -467,6 +467,40 @@ def test_coherent_overlap_residual_scan_warning(tmp_path):
     assert [ln.count(",") for ln in lines if not ln.startswith("#")] == [2] * 3
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value, why", [
+    ("4,x", "could not convert string to float: 'x'"),
+    ("nan", "'nan' is not finite"),
+    ("4,,6", "could not convert string to float: ''"),
+], ids=["word", "nan", "empty-radius"])
+def test_coherent_overlap_bad_residual_scan_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch, source, value, why):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the overlap grid was computed")
+    monkeypatch.setattr(coherent, "overlap_analytic", refuse)
+    out = tmp_path / "out"
+    scan = ["--residual-scan", value]
+    if source == "config":
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"residual_scan = {value}\n")
+        scan = ["--config", str(cfgfile)]
+    assert run(["coherent", "overlap", "--grid-points", "2", *scan,
+                "--outdir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"galq: error: residual_scan: {why}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_coherent_overlap_residual_scan_is_echoed_as_given(tmp_path):
+    assert run(["coherent", "overlap", "--grid-points", "1",
+                "--residual-scan", "4,6.0", "--residual-levels", "4",
+                "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(read(tmp_path / "coherent_overlap.json"))
+    assert doc["config"]["residual_scan"] == "4,6.0"
+    assert [r[0] for r in doc["results"]["residual_scan"]] == [4.0, 6.0]
+    for name in ("coherent_overlap.csv", "coherent_residual_scan.csv"):
+        assert "# residual_scan = 4,6.0\n" in read(tmp_path / name).decode()
+
+
 @pytest.mark.parametrize("radius, step, gib", [
     ("4", "1e-300", "inf"),
     ("1e308", "1e-10", "inf"),  # 2 radius / step is past the float range

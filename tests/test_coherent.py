@@ -360,6 +360,30 @@ def test_matrix_element_xp_is_bitwise_the_numpy_form(d):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+
+def test_matrix_element_xp_swapped_pair_is_the_conjugate():
+    # <l2|X|l1> == conj <l1|X|l2>, and the same for P, component by
+    # component on random d = 1 pairs, so |<l2|X|l1>| is |<l1|X|l2>| bit for
+    # bit: galq.contraction reads every off-diagonal magnitude of a label
+    # set's tables from the pairs i < j alone
+    rng = np.random.default_rng(2701)
+    origin = coherent.CoherentLabel(0.0, 0.0)
+    fwd, back = [], []
+    for k in range(4000):
+        hbar = 10.0 ** rng.uniform(-3.0, 0.0)
+        p1, x1 = rng.uniform(-2.0, 2.0, 2)
+        p2, x2 = (p1, x1) + math.sqrt(hbar) * rng.normal(size=2)
+        l1 = origin if k % 4 == 0 else coherent.CoherentLabel(p1, x1)
+        l2 = origin if k % 4 == 1 else coherent.CoherentLabel(p2, x2)
+        fwd.append(coherent.matrix_element_xp(l1, l2, hbar))
+        back.append(coherent.matrix_element_xp(l2, l1, hbar))
+    fwd, back = np.array(fwd), np.array(back)
+    assert np.count_nonzero(fwd) > 0.9 * fwd.size
+    assert np.all(back == fwd.conj())
+    np.testing.assert_array_equal(np.abs(back).view(np.uint64),
+                                  np.abs(fwd).view(np.uint64))
+
+
 def _labels(d):
     coords = st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)
     return st.builds(lambda p, x, theta: coherent.CoherentLabel(p, x, theta, d),

@@ -12,7 +12,8 @@ from scipy.special import gammainc
 from galq import coherent, contraction, fock, projective
 from galq.coherent import CoherentLabel
 from galq.errors import (DegenerateFitError, PrecisionError, ValidationError)
-from oracles import basis_state, classical_flow_rk4, exact_evolve
+from oracles import (basis_state, classical_flow_rk4, exact_evolve,
+                     matrix_element_tables, table_offdiag_ratios)
 
 GRID = contraction.DEFAULT_HBAR_GRID
 
@@ -249,7 +250,7 @@ def test_diagonalization_suppression_monotone_to_floor():
     for h in grid + [1e-4]:
         gram = coherent.overlap_analytic(labels[0], labels[1], h)
         assert gram == pytest.approx(math.exp(-1.0 / (4.0 * h)), rel=1e-14)
-        mx, _ = contraction.matrix_element_tables(labels, h)
+        mx, _ = matrix_element_tables(labels, h)
         assert np.all(np.diag(mx) == [0.0, 1.0])
     assert gram == 0.0
     assert mx[0, 1] == 0.0 and mx[1, 0] == 0.0
@@ -257,7 +258,7 @@ def test_diagonalization_suppression_monotone_to_floor():
 
 def test_diagonalization_tables_structure():
     labels = [CoherentLabel(0.5, -0.5), CoherentLabel(-0.5, 1.0)]
-    mx, mp = contraction.matrix_element_tables(labels, 0.3)
+    mx, mp = matrix_element_tables(labels, 0.3)
     # diagonals are exactly the labels
     assert mx[0, 0] == pytest.approx(-0.5)
     assert mx[1, 1] == pytest.approx(1.0)
@@ -277,6 +278,85 @@ def test_diagonalization_validation():
         contraction.diagonalization_diagnostic(
             [CoherentLabel(0.0, 0.0),
              CoherentLabel(np.zeros(1) + 0.0, np.zeros(1))], 1.0)
+
+
+
+def _near_labels(rng, n, hbar):
+    """n random d = 1 labels within O(sqrt(hbar)) of one random centre, so
+    that their off-diagonal matrix elements do not underflow; in about one
+    draw in three the centre is the origin and so is the first label."""
+    at_origin = rng.integers(3) == 0
+    centre = np.zeros(2) if at_origin else rng.uniform(-2.0, 2.0, 2)
+    points = centre + math.sqrt(hbar) * rng.normal(size=(n, 2))
+    if at_origin:
+        points[0] = 0.0
+    return [CoherentLabel(p, x) for p, x in points]
+
+
+def test_diagonalization_matches_the_full_tables_bitwise():
+    # one matrix element per unordered pair gives the ratio of the two
+    # n x n tables bit for bit, on 600 random sets of 2-9 labels
+    rng = np.random.default_rng(2702)
+    ratios = []
+    for _ in range(600):
+        hbar = 10.0 ** rng.uniform(-3.0, 0.0)
+        labels = _near_labels(rng, int(rng.integers(2, 10)), hbar)
+        ratio = contraction.diagonalization_diagnostic(labels, hbar)
+        assert ratio == max(table_offdiag_ratios(labels, hbar))
+        ratios.append(ratio)
+    assert np.count_nonzero(ratios) == len(ratios)
+
+
+def test_sweep_offdiag_columns_match_the_full_tables_bitwise():
+    rng = np.random.default_rng(2703)
+    grid = (1.0, 0.3, 0.1, 0.03, 0.01)
+    pairs = [tuple(_near_labels(rng, 2, 0.3)) for _ in range(24)]
+    reports = contraction.overlap_decay_sweep(
+        contraction.SweepSpec(grid, pairs))
+    for rep in reports:
+        for h, rx, rp in zip(grid, rep.offdiag_x, rep.offdiag_p):
+            assert (rx, rp) == table_offdiag_ratios(rep.pair, h)
+
+
+def test_one_matrix_element_per_label_pair(monkeypatch):
+    calls = []
+
+    def counting(l1, l2, hbar):
+        calls.append(hbar)
+        return coherent.matrix_element_xp(l1, l2, hbar)
+    monkeypatch.setattr(contraction, "matrix_element_xp", counting)
+    for n in range(2, 10):
+        calls.clear()
+        contraction.diagonalization_diagnostic(
+            [CoherentLabel(0.1 * i, -0.2 * i) for i in range(n)], 0.5)
+        assert len(calls) == n * (n - 1) // 2
+    pairs = [(CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0)),
+             (CoherentLabel(0.2, -0.3), CoherentLabel(1.2, 0.7))]
+    calls.clear()
+    contraction.overlap_decay_sweep(contraction.SweepSpec(GRID, pairs))
+    assert calls == list(GRID) * len(pairs)
+
+
+@pytest.mark.parametrize("labels", [
+    (CoherentLabel((0.0, 0.0), (1.0, 0.0), d=2),
+     CoherentLabel((0.0, 1.0), (0.0, 0.0), d=2)),
+    (CoherentLabel(0.0, 1.0),
+     CoherentLabel((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), d=3)),
+], ids=["d2", "d1-d3"])
+def test_multi_axis_labels_are_refused_before_any_kernel_call(monkeypatch,
+                                                              labels):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was called")
+    monkeypatch.setattr(contraction, "matrix_element_xp", refuse)
+    monkeypatch.setattr(contraction, "overlap_analytic", refuse)
+    per_axis = r"built per axis \(d=1\), got d=[23]$"
+    with pytest.raises(ValidationError, match=per_axis):
+        contraction.diagonalization_diagnostic(labels, 0.5)
+    # refused before the sweep works on its first, valid pair too
+    spec = contraction.SweepSpec(
+        GRID, [(CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0)), labels])
+    with pytest.raises(ValidationError, match=per_axis):
+        contraction.overlap_decay_sweep(spec)
 
 
 def test_harmonic_emergence_deviation_tiny():
