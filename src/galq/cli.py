@@ -295,24 +295,25 @@ class _Gate(NamedTuple):
         return v is not None and not (v >= b if self.lower else v <= b)
 
 
-def _finish(cfg, stem, results, files, checks):
+def _finish(cfg, results, files, checks):
     """End a run (see the output contract above).  A NaN or infinity in the
     results raises before any file is opened (_float keeps them out of the
     config).  Then each data file in files (name -> iterable of lines) is
-    streamed under the config lines, ``stem.json`` gets {"config",
+    streamed under the config lines, ``<subcommand>.json`` gets {"config",
     "results", "pass"} as strict JSON, each (summary line, gates) of checks
     is printed with PASS when all its gates pass, and ToleranceError names
     every gate that failed, if one did."""
+    summary = f"{cfg['subcommand']}.json"
     results = _jsonable(results)
     bad = _nonfinite_key(results, "results")
     if bad is not None:
-        raise GalqError(f"{stem}.json not written: {bad} is not finite")
+        raise GalqError(f"{summary} not written: {bad} is not finite")
     failed = [g for _, gates in checks for g in gates if g.fails()]
     outputs = {name: itertools.chain(_config_lines(cfg), lines)
                for name, lines in files.items()}
     doc = {"config": _jsonable(cfg), "results": results, "pass": not failed}
-    outputs[f"{stem}.json"] = [json.dumps(doc, indent=2, sort_keys=True,
-                                          allow_nan=False)]
+    outputs[summary] = [json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False)]
     for name, lines in outputs.items():
         with open(os.path.join(cfg["outdir"], name), "w", encoding="utf-8",
                   newline="") as fh:
@@ -324,6 +325,19 @@ def _finish(cfg, stem, results, files, checks):
         raise ToleranceError("; ".join(
             f"{g.name} {g.value:.3e} {'<' if g.lower else '>'} {_fmt(g.bound)}"
             for g in failed))
+
+
+# A run that would store more than this (1 GiB, the bound of
+# coherent.RESIDUAL_BYTES and contraction.EIGENBASIS_BYTES) is refused
+# before any work; each caller states its bytes per stored row.
+_ROWS_BYTES = 2**30
+
+
+def _check_rows(n_rows, row_bytes, what):
+    if n_rows * row_bytes > _ROWS_BYTES:
+        raise ValidationError(
+            f"{n_rows} {what} need ~{n_rows * row_bytes / 2**30:.3g} GiB, "
+            f"over the {_ROWS_BYTES / 2**30:.0f} GiB limit")
 
 
 def _vec(text, name, size=3):
@@ -378,7 +392,7 @@ def run_algebra_verify(cfg):
                     worst = (f"{name}:{key}", val)
     results.update(worst_identity=worst[0], worst_residual=worst[1],
                    tolerance=tol)
-    _finish(cfg, "algebra_verify", results,
+    _finish(cfg, results,
             {"algebra_tables.txt": "\n".join(blocks).splitlines()},
             [(f"algebra verify: worst residual {worst[1]:.3e} "
               f"({worst[0] or 'none'})", gates)])
@@ -389,6 +403,9 @@ def run_coset_orbit(cfg):
     steps, dt = cfg["steps"], cfg["dt"]
     if steps < 1 or dt <= 0:
         raise ValidationError("steps must be >= 1 and dt positive")
+    # a row peaks at 328 bytes on phase space's 8 columns, 257 on the 5 of
+    # the others (tracemalloc, 5000 to 20000 steps)
+    _check_rows(steps + 1, 340, "orbit rows")
     if kind == "spacetime":
         rot = _vec(cfg["rot"], "rot")
         with np.errstate(over="ignore"):  # the element refuses an inf
@@ -425,28 +442,35 @@ def run_coset_orbit(cfg):
         rows.append([i, *coset.coordinates(pt)])
     results = {"n_rows": len(rows), "columns": header,
                "final_row": rows[-1][1:]}
-    _finish(cfg, "coset_orbit", results,
-            {"coset_orbit.csv": _csv(header, rows)},
+    _finish(cfg, results, {"coset_orbit.csv": _csv(header, rows)},
             [(f"coset orbit: {kind}, {steps} steps", [])])
 
 
 def run_coherent_overlap(cfg):
     n = cfg["n_levels"]
     hbar = cfg["hbar"]
+    fock._check_levels(n)
     if cfg["grid_points"] < 1:
         raise ValidationError(
             f"--grid-points must be >= 1, got {cfg['grid_points']}")
-    try:  # the text is echoed as given; its radii are checked before any work
+    # a row peaks at 213-217 bytes (tracemalloc, 40 to 120 grid points)
+    _check_rows(cfg["grid_points"] ** 2, 220, "overlap rows")
+    try:  # the text is echoed as given
         radii = _floats(cfg["residual_scan"]) if cfg["residual_scan"] else []
     except ValueError as exc:
         raise ValidationError(f"residual_scan: {exc}") from exc
-    pts = np.linspace(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
-    l1 = coherent.CoherentLabel(cfg["p1"], cfg["x1"])
-    rows, worst_gap, worst_self = [], 0.0, 0.0
     check = cfg["check_numeric"]
     if check and hbar != 1.0:
         raise ValidationError(
             "numeric cross-check runs in internal units (hbar = 1)")
+    scan = []  # before the grid, so that a refused scan costs no overlap
+    for radius in radii:
+        res = coherent.overcompleteness_residual(
+            n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
+        scan.append([radius, cfg["residual_step"], res.residual, res.warning])
+    pts = np.linspace(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
+    l1 = coherent.CoherentLabel(cfg["p1"], cfg["x1"])
+    rows, worst_gap, worst_self = [], 0.0, 0.0
     s1 = coherent.coherent_state(l1, n).amplitudes if check else None
     for p2 in pts:
         for x2 in pts:
@@ -465,11 +489,6 @@ def run_coherent_overlap(cfg):
                                        abs(complex(np.vdot(s1, s2)) - ov))
             self_ov = coherent.overlap_analytic(l2, l2, hbar)
             worst_self = np.maximum(worst_self, abs(self_ov - 1.0))
-    scan = []
-    for radius in radii:
-        res = coherent.overcompleteness_residual(
-            n, radius, cfg["residual_step"], n_check=cfg["residual_levels"])
-        scan.append([radius, cfg["residual_step"], res.residual, res.warning])
     gap = worst_gap if check else None
     results = {"max_numeric_gap": gap, "max_self_overlap_error": worst_self,
                "n_pairs": len(rows), "residual_scan": scan or None}
@@ -478,8 +497,9 @@ def run_coherent_overlap(cfg):
     if scan:
         files["coherent_residual_scan.csv"] = _csv(
             ["radius", "step", "residual"], [r[:3] for r in scan])
-    _finish(cfg, "coherent_overlap", results, files,
-            [(f"coherent overlap: numeric gap {worst_gap:.3e}",
+    _finish(cfg, results, files,
+            [("coherent overlap: numeric gap "
+              + (f"{gap:.3e}" if check else "not checked"),
               [_Gate("max_self_overlap_error", worst_self, SELF_OVERLAP_TOL),
                _Gate("max_numeric_gap", gap, cfg["tol"])])])
 
@@ -491,6 +511,10 @@ def run_evolve(cfg):
     n = h_op.n_levels
     spec = projective.EvolutionSpec(h_op, cfg["t_final"], cfg["dt"],
                                     store_every=cfg["store_every"])
+    # a sample peaks at up to 80 (N + 1) bytes (tracemalloc, 1000 to 8000
+    # samples on 16 to 512 levels)
+    _check_rows(-(-spec.n_steps // spec.store_every) + 1, 80 * (n + 1),
+                "stored samples")
     psi0 = coherent.coherent_state(
         coherent.CoherentLabel(cfg["p0"], cfg["x0"]), n)
     straj = projective.schrodinger_evolve(psi0, spec)
@@ -524,7 +548,7 @@ def run_evolve(cfg):
     gates = [_Gate(key, results[key], bound) for key, bound in (
         ("max_deviation", cfg["tol"]), ("norm_drift", DRIFT_TOL),
         ("energy_drift", DRIFT_TOL), ("ray_sensitivity", RAY_TOL))]
-    _finish(cfg, "evolve", results, files,
+    _finish(cfg, results, files,
             [(f"evolve: deviation {deviation:.3e}, norm drift "
               f"{norm_drift:.3e}, energy drift {energy_drift:.3e}", gates)])
 
@@ -550,13 +574,12 @@ def run_contract_sweep(cfg):
     reports = contraction.overlap_decay_sweep(spec)
     summary, checks, files = [], [], {}
     for i, rep in enumerate(reports):
-        gap = None if math.isnan(rep.max_numeric_gap) else rep.max_numeric_gap
+        gap = rep.max_numeric_gap
         entry = {"pair_index": i,
                  "labels": {"p1": rep.pair[0].p[0], "x1": rep.pair[0].x[0],
                             "p2": rep.pair[1].p[0], "x2": rep.pair[1].x[0]},
                  "fitted_slope": rep.fitted_slope,
-                 "slope_stderr": None if math.isnan(rep.slope_stderr)
-                 else rep.slope_stderr,
+                 "slope_stderr": rep.slope_stderr,
                  "expected_slope": rep.expected_slope,
                  "slope_rel_error": rep.slope_rel_error,
                  "max_numeric_gap": gap,
@@ -572,7 +595,7 @@ def run_contract_sweep(cfg):
         files[f"contract_sweep_pair{i}.csv"] = _csv(
             ["hbar", "abs_overlap", "offdiag_x", "offdiag_p"],
             zip(rep.hbar, rep.abs_overlap, rep.offdiag_x, rep.offdiag_p))
-    _finish(cfg, "contract_sweep", {"pairs": summary}, files, checks)
+    _finish(cfg, {"pairs": summary}, files, checks)
 
 
 def run_contract_classical(cfg):
@@ -617,7 +640,7 @@ def run_contract_classical(cfg):
         results.update(first_to_last_ratio=ratio, nonincreasing=step <= 0,
                        criterion=f"deviation ratio >= {_fmt(cfg['min_ratio'])}"
                        " and nonincreasing")
-    _finish(cfg, "contract_classical", results,
+    _finish(cfg, results,
             {"contract_classical.csv": _csv(
                 ["hbar", "max_traj_dev"], zip(rep.hbar, rep.max_deviation))},
             [("contract classical ({}): deviations {}".format(

@@ -138,10 +138,10 @@ class DecayReport:
     abs_overlap: np.ndarray
     offdiag_x: np.ndarray
     offdiag_p: np.ndarray
-    numeric_abs: np.ndarray  # NaN where n_levels is None
+    numeric_abs: np.ndarray  # NaN filler where n_levels is None, read nowhere
     n_levels: tuple  # fock.start_cutoff per hbar, None above the cap
     fitted_slope: float
-    slope_stderr: float
+    slope_stderr: float | None  # None for a two-point fit
     expected_slope: float
 
     @property
@@ -151,11 +151,11 @@ class DecayReport:
         return abs(self.fitted_slope - self.expected_slope) / abs(self.expected_slope)
 
     @property
-    def max_numeric_gap(self):
-        good = ~np.isnan(self.numeric_abs)
-        if not np.any(good):
-            return math.nan
-        return float(np.max(np.abs(self.numeric_abs[good] - self.abs_overlap[good])))
+    def max_numeric_gap(self):  # None when no hbar point has a series
+        has = [i for i, n in enumerate(self.n_levels) if n is not None]
+        if not has:
+            return None
+        return float(np.max(np.abs(self.numeric_abs[has] - self.abs_overlap[has])))
 
 
 def label_separation_sq(l1, l2):
@@ -237,7 +237,7 @@ def _fit_log_decay(hbar, absov):
         raise DegenerateFitError("need at least two hbar points to fit a slope")
     if x.size == 2:
         slope = (y[1] - y[0]) / (x[1] - x[0])
-        return float(slope), math.nan
+        return float(slope), None
     coeffs, cov = np.polyfit(x, y, 1, cov=True)
     return float(coeffs[0]), float(math.sqrt(max(cov[0, 0], 0.0)))
 

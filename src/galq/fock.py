@@ -189,15 +189,14 @@ def start_cutoff(mu):
     None when not even MAX_LEVELS keeps the tail that small.
 
     The tail at MAX_LEVELS is checked first, so an occupation of any size,
-    inf included, is refused after one evaluation.  Every candidate N is a
+    inf included, is refused after one evaluation, and one that is not
+    >= 0 gets poisson_tail's ValidationError.  Every candidate N is a
     level above the mean, since the tail at or below it is above 1/4.  The
     first one passes outright when the geometric bound of its tail does;
     otherwise all of them get their tails from one reverse cumulative sum
     of the pmf from the first candidate up, run until the mass past it is
     negligible against TAIL_TOL.
     """
-    if not mu >= 0:
-        raise ValidationError(f"mean occupation must be >= 0, got {mu!r}")
     if poisson_tail(MAX_LEVELS, mu) > TAIL_TOL:
         return None
     first = max(MIN_LEVELS, math.floor(mu) + 1)

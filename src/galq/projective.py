@@ -88,6 +88,8 @@ class EvolutionSpec:
             raise ValidationError("t_final must be >= 0")
         if self.t_final > 0 and self.dt > self.t_final + 1e-15:
             raise ValidationError("dt must not exceed t_final")
+        if self.t_final / self.dt == math.inf:
+            raise ValidationError("t_final / dt overflows: too many steps")
         if self.store_every < 1:
             raise ValidationError("store_every must be >= 1")
         if self.n_steps:

@@ -7,12 +7,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from galq import cli, coherent, coset, fock, projective
+from galq import cli, coherent, contraction, coset, fock, projective
 
 
 def run(args):
@@ -296,7 +297,21 @@ def test_nonfinite_input_exits_1_writing_nothing(tmp_path, argv, cfg_text,
      "numeric cross-check runs in internal units (hbar = 1)"),
     (["contract", "sweep", "--hbar-grid", "1"],
      "need at least two hbar points to fit a slope"),
-], ids=["orbit-steps-0", "orbit-dt-0", "overlap-hbar-0.5", "sweep-one-hbar"])
+    # sizes refused before any work
+    (["evolve", "--t-final", "1e7", "--dt", "1e-3", "--store-every", "1"],
+     "10000000001 stored samples need ~2.46e+04 GiB, over the 1 GiB limit"),
+    (["evolve", "--t-final", "1e9", "--dt", "1e-3", "--store-every", "1"],
+     "1000000000001 stored samples need ~2.46e+06 GiB, over the 1 GiB limit"),
+    (["evolve", "--t-final", "1e300", "--dt", "1e-10"],
+     "t_final / dt overflows: too many steps"),
+    (["coset", "orbit", "--steps", "100000000000000000000"],
+     "100000000000000000001 orbit rows need ~3.17e+13 GiB, over the 1 GiB "
+     "limit"),
+    (["coherent", "overlap", "--grid-points", "100000", "--no-check-numeric"],
+     "10000000000 overlap rows need ~2.05e+03 GiB, over the 1 GiB limit"),
+], ids=["orbit-steps-0", "orbit-dt-0", "overlap-hbar-0.5", "sweep-one-hbar",
+        "evolve-1e7", "evolve-1e9", "evolve-step-overflow", "orbit-1e20",
+        "overlap-1e5-points"])
 def test_refused_run_exits_1_writing_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run([*argv, "--outdir", str(out)]) == 1
@@ -315,10 +330,10 @@ def test_coherent_overlap_empty_grid_exits_1(tmp_path, points, capsys):
 
 
 def test_nonfinite_result_is_not_written(tmp_path, capsys):
-    cfg = {"outdir": str(tmp_path), "tol": 1e-6}
+    cfg = {"subcommand": "x", "outdir": str(tmp_path), "tol": 1e-6}
     with pytest.raises(cli.GalqError,
                        match=r"x\.json not written: results\.a\[1\] is not finite"):
-        cli._finish(cfg, "x", {"a": [1.0, float("nan")]},
+        cli._finish(cfg, {"a": [1.0, float("nan")]},
                     {"x.csv": cli._csv(["a"], [[1.0]])}, [("x", [])])
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out == ""
@@ -344,8 +359,8 @@ def test_nonfinite_result_exits_1_writing_nothing(tmp_path, monkeypatch,
                                                   capsys, words):
     finish = cli._finish
 
-    def poisoned(cfg, stem, results, *rest):
-        return finish(cfg, stem, {**results, "injected": float("nan")}, *rest)
+    def poisoned(cfg, results, *rest):
+        return finish(cfg, {**results, "injected": float("nan")}, *rest)
 
     monkeypatch.setattr(cli, "_finish", poisoned)
     out = tmp_path / "out"
@@ -1023,3 +1038,92 @@ def test_main_builds_one_parser_and_keeps_no_state_in_it(tmp_path,
     assert run(argv) == 0
     assert len(builds) == 2
     assert written() == shared
+
+
+@pytest.mark.parametrize("nan_at", [None, 0.1], ids=["every-hbar", "one-hbar"])
+def test_nan_numeric_series_exits_1_writing_nothing(tmp_path, monkeypatch,
+                                                    capsys, nan_at):
+    # a series that computes NaN is a failed check, not one that was skipped
+    series = contraction.fock_overlap_series
+
+    def nan_series(l1, l2, hbar, n_levels):
+        if nan_at is None or hbar == nan_at:
+            return complex(float("nan"))
+        return series(l1, l2, hbar, n_levels)
+
+    monkeypatch.setattr(contraction, "fock_overlap_series", nan_series)
+    out = tmp_path / "out"
+    assert run(["contract", "sweep", "--outdir", str(out)]) == 1
+    assert capsys.readouterr() == ("", (
+        "galq: error: contract_sweep.json not written: "
+        "results.pairs[0].max_numeric_gap is not finite\n"))
+    assert list(out.iterdir()) == []
+
+
+def test_coherent_overlap_unchecked_gap_is_said_so(tmp_path, capsys):
+    assert run(["coherent", "overlap", "--grid-points", "2",
+                "--no-check-numeric", "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out \
+        == "coherent overlap: numeric gap not checked -> PASS\n"
+    doc = json.loads(read(tmp_path / "coherent_overlap.json"))
+    assert doc["results"]["max_numeric_gap"] is None
+
+
+def _traced_peaks(argv, sizes, tmp_path):
+    """Traced peak memory of the run argv at each size, given as the flags
+    that set it."""
+    peaks = []
+    for j, flags in enumerate(sizes):
+        tracemalloc.start()
+        try:
+            assert run([*argv, *flags, "--outdir", str(tmp_path / str(j))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("argv, sizes, rows, row_bytes", [
+    (["evolve", "--n-levels", "32", "--store-every", "1", "--tol", "1"],
+     (["--t-final", "1"], ["--t-final", "4"]), (1001, 4001), 80 * 33),
+    (["coset", "orbit", "--coset", "phase"],
+     (["--steps", "1000"], ["--steps", "4000"]), (1001, 4001), 340),
+    (["coherent", "overlap", "--no-check-numeric"],
+     (["--grid-points", "16"], ["--grid-points", "48"]), (256, 2304), 220),
+], ids=["evolve", "orbit", "overlap"])
+def test_stored_rows_stay_within_their_stated_bytes(tmp_path, capsys, argv,
+                                                    sizes, rows, row_bytes):
+    # the size guards refuse a run from these per-row figures
+    small, large = _traced_peaks(argv, sizes, tmp_path)
+    assert (large - small) / (rows[1] - rows[0]) <= row_bytes
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--grid-points", "41", "--residual-scan", "-1"],
+     "radius and step must be positive"),
+    (["--grid-points", "41", "--residual-scan", "4", "--residual-step",
+      "1e-10"], "residual grid of radius 4 and step 1e-10 needs ~4.86e+15 "
+     "GiB on 16 levels, over the 1 GiB limit"),
+    (["--grid-points", "41", "--residual-scan", "4", "--residual-levels",
+      "999"], "need 1 <= n_check <= n_levels"),
+    (["--n-levels", "0", "--grid-points", "2", "--no-check-numeric"],
+     "need at least 2 levels"),
+    (["--n-levels", "1", "--grid-points", "2", "--no-check-numeric"],
+     "need at least 2 levels"),
+], ids=["scan-radius", "scan-step", "scan-levels", "levels-0", "levels-1"])
+def test_coherent_overlap_refusals_come_before_the_grid(tmp_path, capsys,
+                                                        monkeypatch, flags,
+                                                        message):
+    calls = []
+    overlap = coherent.overlap_analytic
+
+    def counted(*args):
+        calls.append(args)
+        return overlap(*args)
+
+    monkeypatch.setattr(coherent, "overlap_analytic", counted)
+    out = tmp_path / "out"
+    assert run(["coherent", "overlap", *flags, "--outdir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"galq: error: {message}\n")
+    assert calls == []
+    assert list(out.iterdir()) == []

@@ -214,6 +214,29 @@ def test_sweep_reports_start_cutoff():
     assert abs(rep.numeric_abs[0] - rep.abs_overlap[0]) <= 1e-12
 
 
+def test_not_measured_is_none():
+    # a two-point fit has no standard error, and a pair with no point below
+    # the cutoff cap has no numeric gap
+    near = (CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0))
+    far = (CoherentLabel(1e10, 0.0), CoherentLabel(1e10, 0.5))
+    fit, skipped = contraction.overlap_decay_sweep(
+        contraction.SweepSpec((1.0, 0.5), [near, far]))
+    assert fit.slope_stderr is None and fit.max_numeric_gap <= 1e-8
+    assert skipped.n_levels == (None, None)
+    assert skipped.max_numeric_gap is None
+
+
+def test_nan_series_gives_a_nan_gap(monkeypatch):
+    series = contraction.fock_overlap_series
+    monkeypatch.setattr(
+        contraction, "fock_overlap_series", lambda l1, l2, hbar, n:
+        complex(math.nan) if hbar == 0.5 else series(l1, l2, hbar, n))
+    rep = contraction.overlap_decay_sweep(contraction.SweepSpec(
+        (1.0, 0.5, 0.2), [(CoherentLabel(0.0, 0.0), CoherentLabel(0.0, 1.0))]))[0]
+    assert None not in rep.n_levels
+    assert math.isnan(rep.max_numeric_gap)
+
+
 def test_degenerate_pair_rejected():
     lab = CoherentLabel(0.4, 0.4)
     spec = contraction.SweepSpec(GRID, [(lab, CoherentLabel(0.4, 0.4))])
